@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage, parse or
-engine-inapplicability errors.  Output is deterministic for fixed inputs,
-engine and seed, including under --parallel.
+engine-inapplicability errors, 3 = the engine could not answer (the kdd
+contract was broken, a search cap was hit, --d is below 1, or a YES
+certificate failed verification).  Output is deterministic for fixed
+inputs, engine and seed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .randinst import random_instance
 from .reductions import (SourceProblem, gen_diameter2_clique,
                          gen_diameter2_weighted, gen_dominating_set_star,
                          gen_multicolored_clique, gen_spanner_edgeless)
+from .search import SearchBudgetExceeded
 from .structured import EngineInapplicable
 
 ENGINES = ("brute", "tree", "bounded-gamma", "bounded-g", "kdd", "auto")
@@ -31,6 +34,7 @@ ENGINES = ("brute", "tree", "bounded-gamma", "bounded-g", "kdd", "auto")
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
+EXIT_ENGINE = 3
 
 
 class CliError(Exception):
@@ -39,8 +43,12 @@ class CliError(Exception):
         self.code = code
 
 
+def _tree_applies(inst: Instance) -> bool:
+    return inst.gamma.is_tree() and inst.gamma.is_unweighted() and inst.t < 3
+
+
 def _pick_auto(inst: Instance, d: int | None) -> str:
-    if inst.gamma.is_tree() and inst.t < 3:
+    if _tree_applies(inst):
         return "tree"
     if inst.t == Fraction(2) and d is not None and inst.gamma.is_unweighted():
         return "kdd"
@@ -52,21 +60,22 @@ def _pick_auto(inst: Instance, d: int | None) -> str:
     return "bounded-g"
 
 
-def dispatch(inst: Instance, engine: str, d: int | None = None,
-             parallel: int = 1) -> Verdict:
+def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
     if engine == "auto":
         engine = _pick_auto(inst, d)
     if engine == "brute":
-        return oracle.solve_min(inst, parallel=parallel)
+        return oracle.solve_min(inst)
     if engine == "tree":
         return structured.solve_tree_gamma(inst)
     if engine == "bounded-gamma":
-        return structured.solve_bounded_gamma(inst, parallel=parallel)
+        return structured.solve_bounded_gamma(inst)
     if engine == "bounded-g":
-        return structured.solve_bounded_g(inst, parallel=parallel)
+        return structured.solve_bounded_g(inst)
     if engine == "kdd":
         if d is None:
             raise CliError("--d is required for the kdd engine")
+        if d < 1:
+            raise CliError(f"--d must be at least 1, got {d}", EXIT_ENGINE)
         return kdd.solve_kdd(inst, d)
     raise CliError(f"unknown engine {engine!r}")
 
@@ -83,10 +92,16 @@ def _load_instance(path: str) -> Instance:
 def cmd_solve(args, out) -> int:
     inst = _load_instance(args.input)
     try:
-        verdict = dispatch(inst, args.engine, d=args.d, parallel=args.parallel)
+        verdict = dispatch(inst, args.engine, d=args.d)
     except EngineInapplicable as exc:
         raise CliError(f"engine inapplicable: {exc}")
+    except (kdd.NotKddFree, SearchBudgetExceeded) as exc:
+        raise CliError(f"engine failed: {exc}", EXIT_ENGINE)
     if verdict.yes:
+        check = verify_solution(inst, verdict.solution)
+        if not check.ok:
+            raise CliError(f"engine returned a certificate that fails "
+                           f"verification: {check.reason}", EXIT_ENGINE)
         out.write("YES\n")
         out.write(serialize_solution(verdict.solution))
         return EXIT_YES
@@ -203,7 +218,7 @@ def parse_stretch_like(text: str) -> Fraction:
 def _applicable_engines(inst: Instance):
     yield "bounded-gamma", lambda: structured.solve_bounded_gamma(inst)
     yield "bounded-g", lambda: structured.solve_bounded_g(inst)
-    if inst.gamma.is_tree() and inst.t < 3:
+    if _tree_applies(inst):
         yield "tree", lambda: structured.solve_tree_gamma(inst)
     if inst.t == Fraction(2) and inst.gamma.is_unweighted():
         g = Graph(inst.n, inst.g_edges)
@@ -276,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--engine", choices=ENGINES, default="auto")
     p_solve.add_argument("--d", type=int, default=None,
                          help="biclique parameter for the kdd engine")
-    p_solve.add_argument("--parallel", type=int, default=1)
     p_solve.add_argument("--input", required=True)
 
     p_verify = sub.add_parser("verify", help="check a solution file")

@@ -19,9 +19,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graph import Edge, Graph, greedy_maximal_matching, norm_edge
-from .model import Instance, adjacent_conflicts, build_instance, verify_solution
+from .model import ConflictAnalysis, ConflictChecker, Instance
 from .oracle import Verdict
-from .search import iter_subsets
+from .search import first_conflict_free, iter_subsets
 from .structured import EngineInapplicable
 
 TWO = Fraction(2)
@@ -109,18 +109,15 @@ def f_value(i: int, k: int, d: int) -> int:
             + 2 * sum(k ** j for j in range(2, d - i + 1)) + k)
 
 
-def _conflict_graph(ann: AnnotatedInstance):
-    return adjacent_conflicts(ann.base, ann.added)
-
-
-def find_blocking_set(ann: AnnotatedInstance, v: int, d: int) -> BlockingSet | None:
+def find_blocking_set(ann: AnnotatedInstance, v: int, d: int,
+                      conflicts: ConflictAnalysis) -> BlockingSet | None:
     """Grow the witness sequence for a high-conflict-degree cover vertex.
 
     Returns None when no vertex of I has more than f(1) G-neighbors among
     v's conflict partners: in that case the branch is a no-instance.
-    Raises NotKddFree if d witnesses ever accumulate.
+    Raises NotKddFree if d witnesses ever accumulate.  ``conflicts`` is
+    the node's conflict analysis.
     """
-    conflicts = _conflict_graph(ann)
     g = Graph(ann.base.n, ann.g_edges)
     in_r = set(ann.r)
     i_set = [x for x in range(ann.base.n) if x not in in_r]
@@ -180,7 +177,7 @@ def branch_blocking(ann: AnnotatedInstance, bs: BlockingSet) -> list[AnnotatedIn
     return children
 
 
-def twin_reduce(ann: AnnotatedInstance) -> ReducedSearch:
+def twin_reduce(ann: AnnotatedInstance, conflicts: ConflictAnalysis) -> ReducedSearch:
     """Partition the conflict-free vertices by twin signature and keep one
     representative per class.
 
@@ -188,8 +185,8 @@ def twin_reduce(ann: AnnotatedInstance) -> ReducedSearch:
     deletion from Gamma: deleting vertices could change d_Gamma between
     survivors and silently alter edge weights, whereas the replacement
     argument only relocates solution endpoints onto representatives.
+    ``conflicts`` is the node's conflict analysis.
     """
-    conflicts = _conflict_graph(ann)
     vc = set(conflicts.conflict_vertices)
     g_cur = ann.g_edges
     dist = ann.base.dist_gamma
@@ -207,12 +204,10 @@ def twin_reduce(ann: AnnotatedInstance) -> ReducedSearch:
                          representatives=reps, class_count=len(classes))
 
 
-def _final_enumeration(ann: AnnotatedInstance, twin_mode: str) -> frozenset[Edge] | None:
+def _final_enumeration(ann: AnnotatedInstance, twin_mode: str,
+                       conflicts: ConflictAnalysis) -> frozenset[Edge] | None:
     if twin_mode == "restrict":
-        red = twin_reduce(ann)
-        allowed = set(red.candidates)
-    elif twin_mode == "delete":
-        return _final_enumeration_deleted(ann)
+        allowed = set(twin_reduce(ann, conflicts).candidates)
     elif twin_mode == "off":
         allowed = set(range(ann.base.n))
     else:
@@ -223,50 +218,14 @@ def _final_enumeration(ann: AnnotatedInstance, twin_mode: str) -> frozenset[Edge
         (a, b) for a in range(ann.base.n) for b in range(a + 1, ann.base.n)
         if (a, b) not in g_cur and a in allowed and b in allowed
         and not (a in in_r and b in in_r)]
-    for combo in iter_subsets(candidates, ann.k):
-        extra = ann.added | frozenset(combo)
-        if not adjacent_conflicts(ann.base, extra):
-            return frozenset(combo)
-    return None
+    sol = first_conflict_free(ConflictChecker(ann.base, ann.added), candidates, ann.k)
+    return None if sol is None else sol - ann.added
 
 
-def _final_enumeration_deleted(ann: AnnotatedInstance) -> frozenset[Edge] | None:
-    """Experimental literal-deletion variant of the twin rule: actually
-    remove unmarked twin-class members from Gamma and G and search there.
-    Kept behind a flag; the restriction variant is the default because
-    deletion can perturb the surviving metric.
-    """
-    red = twin_reduce(ann)
-    keep = sorted(set(red.candidates) | set())
-    # Unmarked vertices are those outside the candidate set.
-    old_ids = keep
-    new_of = {old: new for new, old in enumerate(old_ids)}
-    gamma = ann.base.gamma
-    gamma_edges = [(new_of[u], new_of[v]) for u, v in gamma.edges
-                   if u in new_of and v in new_of]
-    weights = {(new_of[u], new_of[v]): gamma.weight.get(norm_edge(u, v), 1)
-               for u, v in gamma.edges if u in new_of and v in new_of}
-    g_edges = [(new_of[u], new_of[v]) for u, v in ann.g_edges
-               if u in new_of and v in new_of]
-    gamma_red = Graph(len(old_ids), gamma_edges, weights)
-    if not gamma_red.is_connected():
-        # Deleting twins disconnected the metric; the literal reading is
-        # undefined here, fall back to the restriction semantics.
-        return _final_enumeration(ann, "restrict")
-    sub = build_instance(gamma_red, g_edges, ann.k, ann.base.t)
-    in_r = {new_of[x] for x in ann.r if x in new_of}
-    candidates = [e for e in sub.non_edges()
-                  if not (e[0] in in_r and e[1] in in_r)]
-    for combo in iter_subsets(candidates, ann.k):
-        if not adjacent_conflicts(sub, combo):
-            return frozenset(norm_edge(old_ids[a], old_ids[b]) for a, b in combo)
-    return None
-
-
-def _solve_annotated(ann: AnnotatedInstance, d: int, k0: int,
-                     stats: BranchStats, twin_mode: str) -> frozenset[Edge] | None:
+def _solve_annotated(ann: AnnotatedInstance, d: int, k0: int, stats: BranchStats,
+                     twin_mode: str, root: ConflictChecker) -> frozenset[Edge] | None:
     stats.note_node(len(ann.r))
-    conflicts = _conflict_graph(ann)
+    conflicts = root.analysis(ann.added)
     if not conflicts:
         return frozenset()
     if ann.k == 0:
@@ -281,16 +240,16 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, k0: int,
             high = v
             break
     if high is not None:
-        bs = find_blocking_set(ann, high, d)
+        bs = find_blocking_set(ann, high, d, conflicts)
         if bs is None:
             return None
         for child in branch_blocking(ann, bs):
             stats.note_child(ann.k, child.k)
-            below = _solve_annotated(child, d, k0, stats, twin_mode)
+            below = _solve_annotated(child, d, k0, stats, twin_mode, root)
             if below is not None:
                 return (child.added - ann.added) | below
         return None
-    return _final_enumeration(ann, twin_mode)
+    return _final_enumeration(ann, twin_mode, conflicts)
 
 
 def solve_kdd(inst: Instance, d: int, twin_mode: str = "restrict",
@@ -305,7 +264,11 @@ def solve_kdd(inst: Instance, d: int, twin_mode: str = "restrict",
     if stats is None:
         stats = BranchStats()
     stats.cover_bound = 5 * inst.k
-    conflicts = adjacent_conflicts(inst)
+    # Every node's conflict analysis comes from this one checker of G: a
+    # node adds at most k edges, so the kernel's closure over their
+    # endpoints replaces n Dijkstra runs per node.
+    root = ConflictChecker(inst)
+    conflicts = root.analysis()
     if not conflicts:
         return Verdict.of(())
     cgraph = Graph(inst.n, conflicts.conflict_edges)
@@ -319,10 +282,7 @@ def solve_kdd(inst: Instance, d: int, twin_mode: str = "restrict",
         committed = frozenset(norm_edge(a, b) for a, b in ej)
         ann = AnnotatedInstance(base=inst, added=committed,
                                 k=inst.k - len(committed), r=r)
-        below = _solve_annotated(ann, d, inst.k, stats, twin_mode)
+        below = _solve_annotated(ann, d, inst.k, stats, twin_mode, root)
         if below is not None:
-            solution = committed | below
-            if twin_mode != "delete":
-                assert verify_solution(inst, solution).ok
-            return Verdict.of(solution)
+            return Verdict.of(committed | below)
     return Verdict.no()

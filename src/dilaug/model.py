@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import add
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graph import INF, Edge, Graph, norm_edge
 
@@ -172,6 +173,86 @@ def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
         if d == INF or den * d > num * dist_gamma[u][v]:
             return False
     return True
+
+
+class ConflictChecker:
+    """Conflict checks of G + committed + S for many small sets S.
+
+    Built once per search: it holds the all-pairs distances D of
+    G + committed and the base conflict pairs, the Gamma edges that violate
+    t there.  Adding edges only shortens distances, so no other pair can
+    conflict once S is added.  ``violated`` finds the pairs S leaves in
+    conflict, exactly, through the distances among S's endpoints;
+    ``ellipse_masks`` gives the quick necessary condition a search tests
+    first.
+    """
+
+    def __init__(self, inst: Instance, committed: Iterable[Edge] = frozenset()):
+        self.inst = inst
+        self.committed = frozenset(committed)
+        adj = inst.g_adjacency(self.committed)
+        self.dist = [_dijkstra(adj, u) for u in range(inst.n)]
+        self._num, self._den = inst.t.numerator, inst.t.denominator
+        self.pairs = [(u, v) for u, v in sorted(inst.gamma.edges)
+                      if not self._within(self.dist[u][v], u, v)]
+
+    def _within(self, d: float, u: int, v: int) -> bool:
+        return self._den * d <= self._num * self.inst.dist_gamma[u][v]
+
+    def ellipse_masks(self, candidates: Sequence[Edge]) -> list[int]:
+        """One bitmask over ``candidates`` per base conflict pair (u, v):
+        bit i is set when candidate (a, b) lies in the metric ellipse
+        d(u, a) + d(a, b) + d(b, v) <= t * d(u, v), in either orientation,
+        with d = d_Gamma.  Every edge weighs its d_Gamma, so by the triangle
+        inequality a set S that fixes (u, v) contains such a candidate.
+        """
+        dg = self.inst.dist_gamma
+        masks = []
+        for u, v in self.pairs:
+            du, dv = dg[u], dg[v]
+            mask = 0
+            for i, (a, b) in enumerate(candidates):
+                shorter = min(du[a] + dv[b], du[b] + dv[a])
+                if self._within(shorter + dg[a][b], u, v):
+                    mask |= 1 << i
+            masks.append(mask)
+        return masks
+
+    def violated(self, s: Collection[Edge] = ()) -> Iterator[Edge]:
+        """The base conflict pairs that G + committed + s still leaves
+        above t, lazily.
+
+        The distances among the endpoints T of s are closed under s one
+        edge at a time; then d(u, v) = min(D[u][v], D[u][x] + C[x][y] +
+        D[y][v]) over x, y in T.
+        """
+        dist, dg = self.dist, self.inst.dist_gamma
+        terms = sorted({x for e in s for x in e})
+        at = {x: i for i, x in enumerate(terms)}
+        close = [[dist[x][y] for y in terms] for x in terms]
+        for a, b in s:
+            ia, ib, w = at[a], at[b], dg[a][b]
+            row_a, row_b = close[ia], close[ib]
+            close = [[min(cxy, row[ia] + w + cby, row[ib] + w + cay)
+                      for cxy, cay, cby in zip(row, row_a, row_b)]
+                     for row in close]
+        for u, v in self.pairs:
+            du, dv = dist[u], dist[v]
+            to_v = [dv[y] for y in terms]
+            best = min((du[x] + min(map(add, row, to_v))
+                        for x, row in zip(terms, close)), default=INF)
+            if not self._within(min(du[v], best), u, v):
+                yield u, v
+
+    def is_free(self, s: Collection[Edge]) -> bool:
+        """Exact: is G + committed + s adjacent-conflict-free?"""
+        return next(self.violated(s), None) is None
+
+    def analysis(self, s: Collection[Edge] = ()) -> ConflictAnalysis:
+        """``adjacent_conflicts`` of G + committed + s, from the kernel."""
+        conflicts = list(self.violated(s))
+        vertices = sorted({x for e in conflicts for x in e})
+        return ConflictAnalysis(frozenset(conflicts), tuple(vertices))
 
 
 def dilation(inst: Instance, s: Iterable[Edge] = ()) -> Stretch | float:

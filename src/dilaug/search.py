@@ -1,21 +1,16 @@
-"""Shared deterministic subset enumeration used by the exact engines.
+"""The subset search shared by the exact engines.
 
 Candidates are tried in order of increasing size, lexicographically within
-a size.  With ``parallel > 1`` the candidate stream is evaluated in chunks
-across a thread pool; the reported hit is always the one the sequential
-order would find first, so results are independent of scheduling.
+a size, so every engine reports the same first hit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .graph import Edge
-from .model import Instance, is_conflict_free
-
-_CHUNK = 64
+from .model import ConflictChecker
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -29,36 +24,49 @@ def iter_subsets(candidates: Sequence[Edge], max_size: int) -> Iterator[tuple[Ed
         yield from combinations(ordered, size)
 
 
-def first_conflict_free(inst: Instance, candidates: Sequence[Edge], k: int,
-                        committed: frozenset[Edge] = frozenset(),
-                        max_candidates: int | None = None,
-                        parallel: int = 1) -> frozenset[Edge] | None:
-    """First subset S of ``candidates`` (|S| <= k) making G+committed+S
-    adjacent-conflict-free, in the canonical order; None if there is none.
+def _first_of_size(checker: ConflictChecker, ordered: list[Edge], masks: list[int],
+                   size: int) -> tuple[int, ...] | None:
+    """First index combination of ``size`` that ``checker`` accepts.
+
+    A combination is checked exactly only if it hits every ellipse mask.
+    Each prefix of size - 1 intersects the masks it misses; the last index
+    ranges over that intersection alone.  The mask that emptied it moves to
+    the front, since it is likely to reject the next prefix too.
     """
-    subsets = iter_subsets(candidates, k)
-    examined = 0
+    if size == 0:
+        return () if checker.is_free(()) else None
+    m = len(ordered)
+    for prefix in combinations(range(m - 1), size - 1):
+        covered = 0
+        for i in prefix:
+            covered |= 1 << i
+        start = prefix[-1] + 1 if prefix else 0
+        tails = (1 << m) - (1 << start)
+        for pos, mask in enumerate(masks):
+            if not mask & covered:
+                tails &= mask
+                if not tails:
+                    masks.insert(0, masks.pop(pos))
+                    break
+        while tails:
+            low = tails & -tails
+            combo = prefix + (low.bit_length() - 1,)
+            if checker.is_free([ordered[i] for i in combo]):
+                return combo
+            tails ^= low
+    return None
 
-    def check(combo: tuple[Edge, ...]) -> bool:
-        return is_conflict_free(inst, committed.union(combo))
 
-    if parallel <= 1:
-        for combo in subsets:
-            examined += 1
-            if max_candidates is not None and examined > max_candidates:
-                raise SearchBudgetExceeded("budget exceeded")
-            if check(combo):
-                return frozenset(committed.union(combo))
-        return None
-
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        while True:
-            chunk = list(islice(subsets, _CHUNK * parallel))
-            if not chunk:
-                return None
-            examined += len(chunk)
-            if max_candidates is not None and examined > max_candidates:
-                raise SearchBudgetExceeded("budget exceeded")
-            for combo, hit in zip(chunk, pool.map(check, chunk)):
-                if hit:
-                    return frozenset(committed.union(combo))
+def first_conflict_free(checker: ConflictChecker, candidates: Sequence[Edge],
+                        k: int) -> frozenset[Edge] | None:
+    """First subset S of ``candidates`` (|S| <= k) that ``checker`` accepts,
+    in the canonical order, returned together with the checker's committed
+    edges; None if there is none.
+    """
+    ordered = sorted(candidates)
+    masks = checker.ellipse_masks(ordered)
+    for size in range(k + 1):
+        combo = _first_of_size(checker, ordered, masks, size)
+        if combo is not None:
+            return checker.committed.union(ordered[i] for i in combo)
+    return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, ball
-from .model import Instance, adjacent_conflicts
+from .model import ConflictChecker, Instance
 from .oracle import Verdict
 from .search import first_conflict_free
 
@@ -28,11 +28,16 @@ class CandidateRegion:
 
 
 def solve_tree_gamma(inst: Instance) -> Verdict:
-    """When Gamma is a tree, every solution must contain all tree edges
-    missing from G; the only question is whether they fit in the budget.
+    """When Gamma is an unweighted tree, every solution must contain all
+    tree edges missing from G; the only question is whether they fit in the
+    budget.
     """
     if not inst.gamma.is_tree():
         raise EngineInapplicable("gamma is not a tree")
+    if not inst.gamma.is_unweighted():
+        # With weights a detour around a tree edge of weight w costs only
+        # w + 2 * (lightest edge), so the edge is no longer forced.
+        raise EngineInapplicable("tree engine requires an unweighted gamma")
     if inst.t >= 3:
         # A tree edge (u, v) missing from G+S could be bridged by a longer
         # detour once t reaches 3, so the forced-edge argument only covers
@@ -59,10 +64,10 @@ def _endpoint_candidates(inst: Instance, region: CandidateRegion) -> list:
     return [e for e in inst.non_edges() if e[0] in allowed and e[1] in allowed]
 
 
-def solve_bounded_gamma(inst: Instance, max_candidates: int | None = None,
-                        parallel: int = 1) -> Verdict:
+def solve_bounded_gamma(inst: Instance) -> Verdict:
     """FPT engine parameterized by the maximum degree of Gamma."""
-    conflicts = adjacent_conflicts(inst)
+    checker = ConflictChecker(inst)
+    conflicts = checker.analysis()
     if not conflicts:
         return Verdict.of(())
     vc = conflicts.conflict_vertices
@@ -71,20 +76,19 @@ def solve_bounded_gamma(inst: Instance, max_candidates: int | None = None,
     if len(vc) > _ball_size_bound(2 * inst.k, delta, t_floor):
         return Verdict.no()
     region = CandidateRegion(tuple(ball(inst.gamma, vc, t_floor)))
-    sol = first_conflict_free(inst, _endpoint_candidates(inst, region), inst.k,
-                              max_candidates=max_candidates, parallel=parallel)
+    sol = first_conflict_free(checker, _endpoint_candidates(inst, region), inst.k)
     return Verdict.of(sol) if sol is not None else Verdict.no()
 
 
-def solve_bounded_g(inst: Instance, max_candidates: int | None = None,
-                    parallel: int = 1) -> Verdict:
+def solve_bounded_g(inst: Instance) -> Verdict:
     """FPT engine parameterized by the maximum degree of G.
 
     The candidate region is a hop-distance ball in the unweighted shadow
     of G.  With an edgeless G the degree threshold is vacuous, so the
     region falls back to all vertices instead of answering no.
     """
-    conflicts = adjacent_conflicts(inst)
+    checker = ConflictChecker(inst)
+    conflicts = checker.analysis()
     if not conflicts:
         return Verdict.of(())
     vc = conflicts.conflict_vertices
@@ -97,6 +101,5 @@ def solve_bounded_g(inst: Instance, max_candidates: int | None = None,
         if len(vc) > _ball_size_bound(2 * inst.k, delta, t_floor):
             return Verdict.no()
         region = CandidateRegion(tuple(ball(shadow, vc, t_floor * t_floor)))
-    sol = first_conflict_free(inst, _endpoint_candidates(inst, region), inst.k,
-                              max_candidates=max_candidates, parallel=parallel)
+    sol = first_conflict_free(checker, _endpoint_candidates(inst, region), inst.k)
     return Verdict.of(sol) if sol is not None else Verdict.no()

@@ -286,17 +286,16 @@ def test_criterion_8_cli_output_is_deterministic(tmp_path):
     unstable = 0
     for path in files:
         outputs = set()
-        for attempt in range(2):
-            for parallel in (1, 2, 3):
+        for attempt in range(3):
+            for engine in ("brute", "auto"):
                 buf = io.StringIO()
-                code = cli_run(["solve", "--engine", "brute",
-                                "--parallel", str(parallel),
+                code = cli_run(["solve", "--engine", engine,
                                 "--input", path], out=buf)
                 outputs.add((code, buf.getvalue()))
         if len(outputs) != 1:
             unstable += 1
     _report(8, "CLI solve output byte-identical across reruns and "
-            "--parallel 1/2/3",
+            "--engine brute/auto",
             unstable == 0,
             f"20 instances x 6 runs, {unstable} unstable, "
             f"tolerance: byte-identical")

@@ -1,8 +1,11 @@
+import functools
 import io
 
 import pytest
 
-from dilaug.cli import EXIT_NO, EXIT_USAGE, EXIT_YES, run
+from dilaug import oracle
+from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
+from dilaug.oracle import Verdict
 
 TRIANGLE = """\
 p dilaug 3 1 3/2
@@ -24,6 +27,30 @@ PATH_TREE = """\
 p dilaug 3 2 2
 e 1 2 1
 e 2 3 1
+"""
+
+# G holds two edges at vertex 7, a K_{1,1}: with --d 1 the kdd contract is
+# broken, and the blocking set around vertex 1 finds the witness 7.
+NOT_K11_FREE = """\
+p dilaug 7 1 2
+e 1 2 1
+e 1 3 1
+e 1 4 1
+e 1 5 1
+e 1 6 1
+e 7 2 1
+g 3 7
+g 4 7
+"""
+
+# Gamma is the path 1-2 (weight 10), 2-3; the detour 1-3-2 has length
+# 12 <= 15, so no edge is forced and the answer is YES with k = 0.
+WEIGHTED_TREE = """\
+p dilaug 3 0 3/2
+e 1 2 10
+e 2 3 1
+g 2 3
+g 1 3
 """
 
 DOMSET_SOURCE = """\
@@ -91,16 +118,50 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
 
+    def test_auto_avoids_tree_on_weighted_tree(self, tmp_path):
+        path = tmp_path / "wtree.dilaug"
+        path.write_text(WEIGHTED_TREE)
+        assert cli("solve", "--input", str(path)) == (EXIT_YES, "YES\n")
+        code, _ = cli("solve", "--engine", "tree", "--input", str(path))
+        assert code == EXIT_USAGE
+
     def test_engine_agnostic_output(self, triangle_file):
         outs = set()
         for engine in ("brute", "bounded-gamma", "bounded-g"):
             outs.add(cli("solve", "--engine", engine, "--input", triangle_file))
         assert len(outs) == 1
 
-    def test_parallel_is_deterministic(self, triangle_file):
-        runs = {cli("solve", "--engine", "brute", "--parallel", str(p),
-                    "--input", triangle_file) for p in (1, 2, 3)}
-        assert len(runs) == 1
+
+class TestEngineFailure:
+    """Exit code 3: the engine could not give an answer.  Never 1, which
+    always means a proven NO."""
+
+    def test_broken_kdd_contract(self, tmp_path, capsys):
+        path = tmp_path / "k11.dilaug"
+        path.write_text(NOT_K11_FREE)
+        code, text = cli("solve", "--engine", "kdd", "--d", "1", "--input", str(path))
+        assert (code, text) == (EXIT_ENGINE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_d_below_one(self, triangle_file, capsys):
+        code, _ = cli("solve", "--engine", "kdd", "--d", "0", "--input", triangle_file)
+        assert code == EXIT_ENGINE
+        assert "--d" in capsys.readouterr().err
+
+    def test_search_cap(self, triangle_file, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "solve_min",
+                            functools.partial(oracle.solve_min, max_candidates=1))
+        code, text = cli("solve", "--engine", "brute", "--input", triangle_file)
+        assert (code, text) == (EXIT_ENGINE, "")
+        assert "budget" in capsys.readouterr().err
+
+    def test_rejected_certificate(self, triangle_file, monkeypatch, capsys):
+        # The triangle needs the edge 1-3; an empty certificate is wrong.
+        monkeypatch.setattr(oracle, "solve_min", lambda inst: Verdict.of(()))
+        code, text = cli("solve", "--engine", "brute", "--input", triangle_file)
+        assert (code, text) == (EXIT_ENGINE, "")
+        assert "conflict(0,2)" in capsys.readouterr().err
 
 
 class TestVerify:

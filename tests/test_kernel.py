@@ -1,0 +1,77 @@
+"""The shared conflict kernel against the naive per-subset check.
+
+Instances have weighted Gamma (weights 1-4), stretches other than the
+corpus defaults, and random committed edges, none of which
+``randinst.random_instance`` generates.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dilaug.graph import Graph
+from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
+                          is_conflict_free)
+from dilaug.search import first_conflict_free, iter_subsets
+
+STRETCHES = (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3),
+             Fraction(5, 2), Fraction(3))
+
+
+@st.composite
+def searches(draw, max_n=6):
+    """(instance, committed edges, candidate edges)."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    gamma_edges = sorted(set(tree) | set(extra))
+    weights = {e: draw(st.integers(min_value=1, max_value=4)) for e in gamma_edges}
+    g_edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    t = draw(st.sampled_from(STRETCHES))
+    inst = build_instance(Graph(n, gamma_edges, weights), g_edges, 3, t)
+    non_edges = inst.non_edges()
+    committed = draw(st.lists(st.sampled_from(non_edges), unique=True, max_size=2)
+                     if non_edges else st.just([]))
+    candidates = [e for e in non_edges if e not in committed]
+    return inst, frozenset(committed), candidates
+
+
+def naive_first(inst, candidates, k, committed):
+    for combo in iter_subsets(candidates, k):
+        if is_conflict_free(inst, committed.union(combo)):
+            return committed.union(combo)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches())
+def test_checker_agrees_with_is_conflict_free(case):
+    inst, committed, candidates = case
+    checker = ConflictChecker(inst, committed)
+    for s in iter_subsets(candidates, 3):
+        full = committed.union(s)
+        assert checker.is_free(s) == is_conflict_free(inst, full)
+        assert checker.analysis(s) == adjacent_conflicts(inst, full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches())
+def test_ellipse_filter_never_rejects_a_solution(case):
+    inst, committed, candidates = case
+    ordered = sorted(candidates)
+    masks = ConflictChecker(inst, committed).ellipse_masks(ordered)
+    for s in iter_subsets(ordered, 3):
+        if is_conflict_free(inst, committed.union(s)):
+            bits = sum(1 << ordered.index(e) for e in s)
+            assert all(mask & bits for mask in masks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches(), st.integers(min_value=0, max_value=3))
+def test_first_conflict_free_matches_naive_loop(case, k):
+    inst, committed, candidates = case
+    assert (first_conflict_free(ConflictChecker(inst, committed), candidates, k)
+            == naive_first(inst, candidates, k, committed))

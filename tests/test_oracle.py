@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from dilaug.graph import Graph, norm_edge
-from dilaug.model import build_instance, verify_solution
+from dilaug.model import ConflictChecker, build_instance, verify_solution
 from dilaug.oracle import Verdict, solve_min
 from dilaug.randinst import random_instance
 from dilaug.search import SearchBudgetExceeded, first_conflict_free, iter_subsets
@@ -92,19 +92,12 @@ class TestSolveMin:
                 inst.k, inst.t)
             assert solve_min(inst).yes == solve_min(inst2).yes
 
-    def test_parallel_matches_sequential(self):
-        rng = random.Random(558)
-        for _ in range(40):
-            inst = random_instance(rng, n_max=7, k_max=2)
-            assert solve_min(inst) == solve_min(inst, parallel=3)
-
 
 class TestFirstConflictFree:
     def test_committed_edges_count_toward_result(self, star_instance):
-        sol = first_conflict_free(
-            star_instance, [(0, 2), (0, 3)], 2,
-            committed=frozenset({(0, 1)}))
+        checker = ConflictChecker(star_instance, {(0, 1)})
+        sol = first_conflict_free(checker, [(0, 2), (0, 3)], 2)
         assert sol == frozenset({(0, 1), (0, 2), (0, 3)})
 
     def test_none_when_unsatisfiable(self, star_instance):
-        assert first_conflict_free(star_instance, [(1, 2)], 1) is None
+        assert first_conflict_free(ConflictChecker(star_instance), [(1, 2)], 1) is None
