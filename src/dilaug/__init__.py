@@ -6,8 +6,8 @@ from .model import (ConflictAnalysis, ConflictChecker, Instance, InstanceError,
                     adjacent_conflicts, build_instance, dilation, stretch_leq,
                     verify_solution)
 from .oracle import Verdict, solve_min
-from .structured import (CandidateRegion, EngineInapplicable, solve_bounded_g,
-                         solve_bounded_gamma, solve_tree_gamma)
+from .structured import (EngineInapplicable, solve_bounded_g, solve_bounded_gamma,
+                         solve_tree_gamma)
 from .kdd import (AnnotatedInstance, BlockingSet, BranchStats, NotKddFree,
                   branch_blocking, f_value, find_blocking_set, solve_kdd,
                   twin_reduce)

@@ -13,14 +13,14 @@ import argparse
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import kdd, oracle, structured
-from .fileformat import (ParseError, parse_instance, parse_solution,
-                         serialize_instance, serialize_solution)
-from .graph import Graph, GraphError
-from .model import Instance, InstanceError, MetricUndefinedError, verify_solution
+from .fileformat import (ParseError, parse_instance, parse_rational,
+                         parse_solution, parse_source, serialize_instance,
+                         serialize_solution)
+from .graph import Graph
+from .model import Instance, verify_solution
 from .oracle import Verdict
 from .randinst import random_instance
 from .reductions import (SourceProblem, gen_diameter2_clique,
@@ -43,14 +43,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _tree_applies(inst: Instance) -> bool:
-    return inst.gamma.is_tree() and inst.gamma.is_unweighted() and inst.t < 3
-
-
 def _pick_auto(inst: Instance, d: int | None) -> str:
-    if _tree_applies(inst):
+    if structured.tree_inapplicable(inst) is None:
         return "tree"
-    if inst.t == Fraction(2) and d is not None and inst.gamma.is_unweighted():
+    if d is not None and kdd.kdd_inapplicable(inst) is None:
         return "kdd"
     if inst.n <= 10:
         return "brute"
@@ -80,9 +76,9 @@ def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
     raise CliError(f"unknown engine {engine!r}")
 
 
-def _load_instance(path: str) -> Instance:
+def _parse_file(path: str, parse, *args):
     try:
-        return parse_instance(Path(path).read_text())
+        return parse(Path(path).read_text(), *args)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except ParseError as exc:
@@ -90,7 +86,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_solve(args, out) -> int:
-    inst = _load_instance(args.input)
+    inst = _parse_file(args.input, parse_instance)
     try:
         verdict = dispatch(inst, args.engine, d=args.d)
     except EngineInapplicable as exc:
@@ -110,13 +106,8 @@ def cmd_solve(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    inst = _load_instance(args.input)
-    try:
-        sol = parse_solution(Path(args.solution).read_text(), inst.n)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.solution}: {exc}")
-    except ParseError as exc:
-        raise CliError(f"{args.solution}: {exc}")
+    inst = _parse_file(args.input, parse_instance)
+    sol = _parse_file(args.solution, parse_solution, inst.n)
     result = verify_solution(inst, sol)
     if result.ok:
         out.write("valid\n")
@@ -125,52 +116,8 @@ def cmd_verify(args, out) -> int:
     return EXIT_NO
 
 
-def _parse_source(text: str, want_partition: bool):
-    header = None
-    edges = []
-    colors: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "src":
-                raise CliError(f"line {lineno}: header must be 'p src <n> <k>'")
-            header = (int(parts[2]), int(parts[3]))
-        elif parts[0] == "e":
-            if header is None or len(parts) != 3:
-                raise CliError(f"line {lineno}: bad edge line")
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        elif parts[0] == "v":
-            if header is None or len(parts) != 3:
-                raise CliError(f"line {lineno}: bad color line")
-            colors[int(parts[1]) - 1] = int(parts[2])
-        else:
-            raise CliError(f"line {lineno}: unknown line type {parts[0]!r}")
-    if header is None:
-        raise CliError("missing 'p src' header")
-    n, k = header
-    try:
-        graph = Graph(n, edges)
-    except GraphError as exc:
-        raise CliError(str(exc))
-    partition = None
-    if want_partition:
-        if set(colors) != set(range(n)):
-            raise CliError("multicolored clique source needs a color for every vertex")
-        partition = tuple(tuple(sorted(v for v, c in colors.items() if c == i))
-                          for i in range(1, k + 1))
-    return graph, k, partition
-
-
 def cmd_gen(args, out) -> int:
-    want_partition = args.generator == "mcq"
-    try:
-        source_text = Path(args.source).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.source}: {exc}")
-    graph, k, partition = _parse_source(source_text, want_partition)
+    graph, k, partition = _parse_file(args.source, parse_source, args.generator == "mcq")
     try:
         if args.generator == "mcq":
             src = SourceProblem("multicolored-clique", graph, k, partition=partition)
@@ -180,7 +127,7 @@ def cmd_gen(args, out) -> int:
         elif args.generator == "diam2w":
             if args.epsilon is None:
                 raise CliError("diam2w requires --epsilon")
-            eps = parse_stretch_like(args.epsilon)
+            eps = parse_rational(args.epsilon)
             src = SourceProblem("diameter2-augmentation", graph, k, epsilon=eps)
             gen = gen_diameter2_weighted(src, eps)
         elif args.generator == "spanner":
@@ -189,9 +136,7 @@ def cmd_gen(args, out) -> int:
             gen = gen_diameter2_clique(SourceProblem("diameter2-augmentation", graph, k))
         else:
             raise CliError(f"unknown generator {args.generator!r}")
-    except (ValueError, MetricUndefinedError, InstanceError) as exc:
-        if isinstance(exc, CliError):
-            raise
+    except ValueError as exc:  # includes InstanceError and MetricUndefinedError
         raise CliError(str(exc))
     body = serialize_instance(gen.instance)
     labels = "".join(f"l {v + 1} {gen.labels[v]}\n" for v in sorted(gen.labels))
@@ -205,42 +150,15 @@ def cmd_gen(args, out) -> int:
     return EXIT_YES
 
 
-def parse_stretch_like(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational {text!r}") from exc
-
-
-def _applicable_engines(inst: Instance):
-    yield "bounded-gamma", lambda: structured.solve_bounded_gamma(inst)
-    yield "bounded-g", lambda: structured.solve_bounded_g(inst)
-    if _tree_applies(inst):
-        yield "tree", lambda: structured.solve_tree_gamma(inst)
-    if inst.t == Fraction(2) and inst.gamma.is_unweighted():
-        g = Graph(inst.n, inst.g_edges)
-        if len(g.edges) == 0 or not _has_cycle(g):
-            yield "kdd", lambda: kdd.solve_kdd(inst, 2)
-
-
-def _has_cycle(g: Graph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in sorted(g.edges):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return True
-        parent[ru] = rv
-    return False
+def _applicable_engines(inst: Instance) -> list[str]:
+    """Names of the engines besides brute that can decide ``inst``."""
+    names = ["bounded-gamma", "bounded-g"]
+    if structured.tree_inapplicable(inst) is None:
+        names.append("tree")
+    # A forest is K_{2,2}-free, so d = 2 keeps the kdd contract.
+    if kdd.kdd_inapplicable(inst) is None and Graph(inst.n, inst.g_edges).is_forest():
+        names.append("kdd")
+    return names
 
 
 def cmd_fuzz(args, out) -> int:
@@ -250,8 +168,8 @@ def cmd_fuzz(args, out) -> int:
         inst = random_instance(rng, n_max=8, k_max=2,
                                forest_g=(i % 2 == 0))
         expected = oracle.solve_min(inst)
-        for name, run in _applicable_engines(inst):
-            got = run()
+        for name in _applicable_engines(inst):
+            got = dispatch(inst, name, d=2)
             if got.yes != expected.yes:
                 failures += 1
                 dump = f"fuzz_fail_{args.seed}_{i}_{name}.dilaug"
@@ -269,10 +187,9 @@ def cmd_bench(args, out) -> int:
     rows = []
     for i in range(10):
         inst = random_instance(rng, n_max=8, k_max=2, forest_g=(i % 2 == 0))
-        for name, run in [("brute", lambda: oracle.solve_min(inst))] + \
-                list(_applicable_engines(inst)):
+        for name in ["brute", *_applicable_engines(inst)]:
             start = time.perf_counter()
-            verdict = run()
+            verdict = dispatch(inst, name, d=2)
             elapsed = time.perf_counter() - start
             rows.append((i, name, verdict.yes, elapsed))
     out.write(f"{'inst':>4} {'engine':>14} {'answer':>6} {'seconds':>10}\n")
@@ -314,11 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: building it costs about as much as a small solve.
+PARSER = build_parser()
+
+
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "gen": cmd_gen,

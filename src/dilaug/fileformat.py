@@ -8,15 +8,18 @@ Instance format (UTF-8, newline-delimited, 1-based vertex ids):
     g <u> <v>              G edge
     l <v> <label>          optional vertex label (generator sidecar)
 
-Solution files contain lines ``s <u> <v>``.  Internally vertices are
-0-based; the translation happens here and only here.
+Solution files contain lines ``s <u> <v>``.  Source files for the
+hardness generators contain ``p src <n> <k>`` once, then ``e <u> <v>``
+edges and ``v <u> <color>`` colors.  Internally vertices are 0-based; the
+translation happens here and only here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, GraphError, norm_edge
 from .model import Instance, InstanceError, MetricUndefinedError, build_instance
 
 
@@ -27,49 +30,66 @@ class ParseError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-def parse_stretch(text: str) -> Fraction:
+def parse_rational(text: str) -> Fraction:
+    """An integer or ``p/q`` with integers p and q != 0."""
     try:
         if "/" in text:
             num, den = text.split("/")
-            t = Fraction(int(num), int(den))
-        else:
-            t = Fraction(int(text))
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad stretch value {text!r}") from exc
+        raise ParseError(f"bad rational {text!r}") from exc
+
+
+def parse_stretch(text: str) -> Fraction:
+    t = parse_rational(text)
     if t < 1:
         raise ParseError(f"stretch {text} is below 1")
     return t
 
 
-def _vertex(tok: str, n: int, lineno: int) -> int:
+def _int(tok: str, what: str, lineno: int) -> int:
     try:
-        v = int(tok)
+        return int(tok)
     except ValueError:
-        raise ParseError(f"bad vertex id {tok!r}", lineno)
+        raise ParseError(f"bad {what} {tok!r}", lineno) from None
+
+
+def _vertex(tok: str, n: int, lineno: int) -> int:
+    v = _int(tok, "vertex id", lineno)
     if not (1 <= v <= n):
         raise ParseError(f"vertex {v} out of range [1, {n}]", lineno)
     return v - 1
+
+
+def _edge(parts: list[str], n: int, lineno: int) -> Edge:
+    """The 0-based edge of the tokens ``parts[1]`` and ``parts[2]``."""
+    u, v = _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)
+    if u == v:
+        raise ParseError("self-loop", lineno)
+    return norm_edge(u, v)
+
+
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line not blank and not a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line.split()
 
 
 def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> Instance:
     header = None
     gamma_edges: dict[Edge, int] = {}
     g_edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text):
         kind = parts[0]
         if kind == "p":
             if header is not None:
                 raise ParseError("duplicate header", lineno)
             if len(parts) != 5 or parts[1] != "dilaug":
                 raise ParseError("header must be 'p dilaug <n> <k> <t>'", lineno)
-            try:
-                n, k = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("n and k must be integers", lineno)
+            n, k = _int(parts[2], "n", lineno), _int(parts[3], "k", lineno)
             if n < 1 or k < 0:
                 raise ParseError("need n >= 1 and k >= 0", lineno)
             try:
@@ -84,26 +104,17 @@ def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> I
         if kind == "e":
             if len(parts) != 4:
                 raise ParseError("gamma edge line must be 'e <u> <v> <w>'", lineno)
-            u, v = _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)
-            if u == v:
-                raise ParseError("self-loop", lineno)
-            try:
-                w = int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad weight {parts[3]!r}", lineno)
+            e = _edge(parts, n, lineno)
+            w = _int(parts[3], "weight", lineno)
             if w < 1:
                 raise ParseError(f"weight {w} must be >= 1", lineno)
-            e = norm_edge(u, v)
             if e in gamma_edges:
                 raise ParseError("duplicate gamma edge", lineno)
             gamma_edges[e] = w
         elif kind == "g":
             if len(parts) != 3:
                 raise ParseError("G edge line must be 'g <u> <v>'", lineno)
-            u, v = _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)
-            if u == v:
-                raise ParseError("self-loop", lineno)
-            e = norm_edge(u, v)
+            e = _edge(parts, n, lineno)
             if e in g_edges:
                 raise ParseError("duplicate G edge", lineno)
             g_edges.add(e)
@@ -121,16 +132,12 @@ def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> I
     gamma = Graph(n, gamma_edges, gamma_edges)
     try:
         return build_instance(gamma, g_edges, k, t)
-    except MetricUndefinedError as exc:
-        raise ParseError(str(exc)) from exc
-    except InstanceError as exc:
+    except (MetricUndefinedError, InstanceError) as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_instance(inst: Instance, labels: dict[int, str] | None = None) -> str:
-    t = inst.t
-    t_text = f"{t.numerator}/{t.denominator}" if t.denominator != 1 else str(t.numerator)
-    lines = [f"p dilaug {inst.n} {inst.k} {t_text}"]
+    lines = [f"p dilaug {inst.n} {inst.k} {inst.t}"]
     for u, v in sorted(inst.gamma.edges):
         w = inst.gamma.weight.get((u, v), 1)
         lines.append(f"e {u + 1} {v + 1} {w}")
@@ -143,19 +150,53 @@ def serialize_instance(inst: Instance, labels: dict[int, str] | None = None) -> 
 
 def parse_solution(text: str, n: int) -> frozenset[Edge]:
     edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text):
         if parts[0] != "s" or len(parts) != 3:
             raise ParseError("solution line must be 's <u> <v>'", lineno)
-        u, v = _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)
-        if u == v:
-            raise ParseError("self-loop", lineno)
-        edges.add(norm_edge(u, v))
+        edges.add(_edge(parts, n, lineno))
     return frozenset(edges)
 
 
 def serialize_solution(edges) -> str:
     return "".join(f"s {u + 1} {v + 1}\n" for u, v in sorted(edges))
+
+
+def parse_source(text: str, want_partition: bool
+                 ) -> tuple[Graph, int, tuple[tuple[int, ...], ...] | None]:
+    """A generator's source graph, k and, if ``want_partition``, the color
+    classes 1..k (every vertex needs a color)."""
+    header = None
+    edges: list[Edge] = []
+    colors: dict[int, int] = {}
+    for lineno, parts in _lines(text):
+        kind = parts[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(parts) != 4 or parts[1] != "src":
+                raise ParseError("header must be 'p src <n> <k>'", lineno)
+            header = (_int(parts[2], "n", lineno), _int(parts[3], "k", lineno))
+        elif kind == "e":
+            if header is None or len(parts) != 3:
+                raise ParseError("bad edge line", lineno)
+            edges.append(_edge(parts, header[0], lineno))
+        elif kind == "v":
+            if header is None or len(parts) != 3:
+                raise ParseError("bad color line", lineno)
+            colors[_vertex(parts[1], header[0], lineno)] = _int(parts[2], "color", lineno)
+        else:
+            raise ParseError(f"unknown line type {kind!r}", lineno)
+    if header is None:
+        raise ParseError("missing 'p src' header")
+    n, k = header
+    try:
+        graph = Graph(n, edges)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc
+    partition = None
+    if want_partition:
+        if set(colors) != set(range(n)):
+            raise ParseError("multicolored clique source needs a color for every vertex")
+        partition = tuple(tuple(sorted(v for v, c in colors.items() if c == i))
+                          for i in range(1, k + 1))
+    return graph, k, partition

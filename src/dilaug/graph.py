@@ -26,6 +26,31 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int) -> list[float]:
+    """Distances from ``source`` over a weighted adjacency list."""
+    dist: list[float] = [INF] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, wt in adj[u]:
+            nd = du + wt
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Graph:
     """Simple undirected graph with optional positive integer edge weights.
 
@@ -107,19 +132,7 @@ class Graph:
     def weighted_distances(self, source: int) -> list[float]:
         """Dijkstra distances from ``source`` under edge weights."""
         self._check_source(source)
-        dist: list[float] = [INF] * self.n
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, wt in self._adj[u]:
-                nd = du + wt
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
+        return dijkstra(self._adj, source)
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -128,6 +141,15 @@ class Graph:
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
+
+    def is_forest(self) -> bool:
+        parent = list(range(self.n))
+        for u, v in self.edges:
+            ru, rv = find(parent, u), find(parent, v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"

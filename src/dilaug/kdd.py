@@ -59,12 +59,6 @@ class BlockingSet:
 
 
 @dataclass(frozen=True)
-class TwinSignature:
-    a: frozenset[int]  # G-neighbors at embedded distance 1 inside V_c
-    b: frozenset[int]  # Gamma-neighbors in V_c that are not G-adjacent
-
-
-@dataclass(frozen=True)
 class ReducedSearch:
     """Outcome of the twin reduction: candidate endpoints for the final
     enumeration, plus the class representatives that were kept."""
@@ -204,26 +198,20 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: ConflictAnalysis) -> ReducedS
                          representatives=reps, class_count=len(classes))
 
 
-def _final_enumeration(ann: AnnotatedInstance, twin_mode: str,
-                       conflicts: ConflictAnalysis) -> frozenset[Edge] | None:
-    if twin_mode == "restrict":
-        allowed = set(twin_reduce(ann, conflicts).candidates)
-    elif twin_mode == "off":
-        allowed = set(range(ann.base.n))
-    else:
-        raise ValueError(f"unknown twin_mode {twin_mode!r}")
+def _final_enumeration(ann: AnnotatedInstance, conflicts: ConflictAnalysis,
+                       root: ConflictChecker) -> frozenset[Edge] | None:
+    allowed = set(twin_reduce(ann, conflicts).candidates)
     in_r = set(ann.r)
     g_cur = ann.g_edges
     candidates = [
         (a, b) for a in range(ann.base.n) for b in range(a + 1, ann.base.n)
         if (a, b) not in g_cur and a in allowed and b in allowed
         and not (a in in_r and b in in_r)]
-    sol = first_conflict_free(ConflictChecker(ann.base, ann.added), candidates, ann.k)
-    return None if sol is None else sol - ann.added
+    return first_conflict_free(root, candidates, ann.k, ann.added)
 
 
-def _solve_annotated(ann: AnnotatedInstance, d: int, k0: int, stats: BranchStats,
-                     twin_mode: str, root: ConflictChecker) -> frozenset[Edge] | None:
+def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
+                     root: ConflictChecker) -> frozenset[Edge] | None:
     stats.note_node(len(ann.r))
     conflicts = root.analysis(ann.added)
     if not conflicts:
@@ -245,28 +233,35 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, k0: int, stats: BranchStats
             return None
         for child in branch_blocking(ann, bs):
             stats.note_child(ann.k, child.k)
-            below = _solve_annotated(child, d, k0, stats, twin_mode, root)
+            below = _solve_annotated(child, d, stats, root)
             if below is not None:
                 return (child.added - ann.added) | below
         return None
-    return _final_enumeration(ann, twin_mode, conflicts)
+    return _final_enumeration(ann, conflicts, root)
 
 
-def solve_kdd(inst: Instance, d: int, twin_mode: str = "restrict",
-              stats: BranchStats | None = None) -> Verdict:
-    """Exact engine for t = 2 on a K_{d,d}-free G (caller contract)."""
+def kdd_inapplicable(inst: Instance) -> str | None:
+    """Why ``solve_kdd`` cannot decide ``inst``; None if it can."""
     if inst.t != TWO:
-        raise EngineInapplicable("kdd engine requires t = 2")
+        return "kdd engine requires t = 2"
     if not inst.gamma.is_unweighted():
-        raise EngineInapplicable("kdd engine requires an unweighted gamma")
+        return "kdd engine requires an unweighted gamma"
+    return None
+
+
+def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdict:
+    """Exact engine for t = 2 on a K_{d,d}-free G (caller contract)."""
+    reason = kdd_inapplicable(inst)
+    if reason is not None:
+        raise EngineInapplicable(reason)
     if d < 1:
         raise ValueError("d must be at least 1")
     if stats is None:
         stats = BranchStats()
     stats.cover_bound = 5 * inst.k
-    # Every node's conflict analysis comes from this one checker of G: a
-    # node adds at most k edges, so the kernel's closure over their
-    # endpoints replaces n Dijkstra runs per node.
+    # Every node's conflict analysis and the final enumeration at every
+    # leaf come from this one checker of G: a node adds at most k edges, so
+    # the kernel's closure over their endpoints replaces n Dijkstra runs.
     root = ConflictChecker(inst)
     conflicts = root.analysis()
     if not conflicts:
@@ -282,7 +277,7 @@ def solve_kdd(inst: Instance, d: int, twin_mode: str = "restrict",
         committed = frozenset(norm_edge(a, b) for a, b in ej)
         ann = AnnotatedInstance(base=inst, added=committed,
                                 k=inst.k - len(committed), r=r)
-        below = _solve_annotated(ann, d, inst.k, stats, twin_mode, root)
+        below = _solve_annotated(ann, d, stats, root)
         if below is not None:
             return Verdict.of(committed | below)
     return Verdict.no()

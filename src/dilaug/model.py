@@ -7,13 +7,13 @@ integers); floating point never touches a threshold decision.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .graph import INF, Edge, Graph, norm_edge
+from .graph import INF, Edge, Graph, dijkstra, norm_edge
 
 Stretch = Fraction
 
@@ -53,11 +53,7 @@ class Instance:
     def g_adjacency(self, extra: Iterable[Edge] = ()) -> list[list[tuple[int, int]]]:
         """Weighted adjacency of G + extra, edge weights taken from the metric."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v in self.g_edges:
-            w = self.dist_gamma[u][v]
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for u, v in extra:
+        for u, v in chain(self.g_edges, extra):
             w = self.dist_gamma[u][v]
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -127,40 +123,9 @@ def stretch_leq(dg: float, dgamma: int, t: Stretch) -> bool:
     return t.denominator * dg <= t.numerator * dgamma
 
 
-def _dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list[float]:
-    dist: list[float] = [INF] * len(adj)
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, wt in adj[u]:
-            nd = du + wt
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> ConflictAnalysis:
-    """All Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma."""
-    s = normalize_solution(s, inst.n)
-    adj = inst.g_adjacency(s)
-    rows: dict[int, list[float]] = {}
-    conflicts = []
-    for u, v in sorted(inst.gamma.edges):
-        row = rows.get(u)
-        if row is None:
-            row = rows[u] = _dijkstra(adj, u)
-        if not stretch_leq(row[v], inst.dist_gamma[u][v], inst.t):
-            conflicts.append((u, v))
-    vertices = sorted({x for e in conflicts for x in e})
-    return ConflictAnalysis(frozenset(conflicts), tuple(vertices))
-
-
-def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
-    """Early-exiting emptiness check of adjacent_conflicts (hot path)."""
+def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
+    """The Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma,
+    lazily and in order; one Dijkstra run per distinct first endpoint."""
     adj = inst.g_adjacency(s)
     dist_gamma = inst.dist_gamma
     num, den = inst.t.numerator, inst.t.denominator
@@ -168,30 +133,43 @@ def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
     for u, v in sorted(inst.gamma.edges):
         row = rows.get(u)
         if row is None:
-            row = rows[u] = _dijkstra(adj, u)
+            row = rows[u] = dijkstra(adj, u)
         d = row[v]
         if d == INF or den * d > num * dist_gamma[u][v]:
-            return False
-    return True
+            yield u, v
+
+
+def _analysis(conflicts: Iterable[Edge]) -> ConflictAnalysis:
+    conflicts = frozenset(conflicts)
+    vertices = sorted({x for e in conflicts for x in e})
+    return ConflictAnalysis(conflicts, tuple(vertices))
+
+
+def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> ConflictAnalysis:
+    """All Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma."""
+    return _analysis(_violations(inst, normalize_solution(s, inst.n)))
+
+
+def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
+    """Early-exiting emptiness check of adjacent_conflicts (hot path)."""
+    return next(_violations(inst, s), None) is None
 
 
 class ConflictChecker:
-    """Conflict checks of G + committed + S for many small sets S.
+    """Conflict checks of G + S for many small sets S.
 
-    Built once per search: it holds the all-pairs distances D of
-    G + committed and the base conflict pairs, the Gamma edges that violate
-    t there.  Adding edges only shortens distances, so no other pair can
-    conflict once S is added.  ``violated`` finds the pairs S leaves in
-    conflict, exactly, through the distances among S's endpoints;
-    ``ellipse_masks`` gives the quick necessary condition a search tests
-    first.
+    Built once per engine call: it holds the all-pairs distances D of G and
+    the base conflict pairs, the Gamma edges that violate t there.  Adding
+    edges only shortens distances, so no other pair can conflict once S is
+    added.  ``violated`` finds the pairs S leaves in conflict, exactly,
+    through the distances among S's endpoints; ``ellipse_masks`` gives the
+    quick necessary condition a search tests first.
     """
 
-    def __init__(self, inst: Instance, committed: Iterable[Edge] = frozenset()):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.committed = frozenset(committed)
-        adj = inst.g_adjacency(self.committed)
-        self.dist = [_dijkstra(adj, u) for u in range(inst.n)]
+        adj = inst.g_adjacency()
+        self.dist = [dijkstra(adj, u) for u in range(inst.n)]
         self._num, self._den = inst.t.numerator, inst.t.denominator
         self.pairs = [(u, v) for u, v in sorted(inst.gamma.edges)
                       if not self._within(self.dist[u][v], u, v)]
@@ -199,8 +177,9 @@ class ConflictChecker:
     def _within(self, d: float, u: int, v: int) -> bool:
         return self._den * d <= self._num * self.inst.dist_gamma[u][v]
 
-    def ellipse_masks(self, candidates: Sequence[Edge]) -> list[int]:
-        """One bitmask over ``candidates`` per base conflict pair (u, v):
+    def ellipse_masks(self, candidates: Sequence[Edge],
+                      pairs: Iterable[Edge]) -> list[int]:
+        """One bitmask over ``candidates`` per conflict pair (u, v) of ``pairs``:
         bit i is set when candidate (a, b) lies in the metric ellipse
         d(u, a) + d(a, b) + d(b, v) <= t * d(u, v), in either orientation,
         with d = d_Gamma.  Every edge weighs its d_Gamma, so by the triangle
@@ -208,7 +187,7 @@ class ConflictChecker:
         """
         dg = self.inst.dist_gamma
         masks = []
-        for u, v in self.pairs:
+        for u, v in pairs:
             du, dv = dg[u], dg[v]
             mask = 0
             for i, (a, b) in enumerate(candidates):
@@ -219,8 +198,7 @@ class ConflictChecker:
         return masks
 
     def violated(self, s: Collection[Edge] = ()) -> Iterator[Edge]:
-        """The base conflict pairs that G + committed + s still leaves
-        above t, lazily.
+        """The base conflict pairs that G + s still leaves above t, lazily.
 
         The distances among the endpoints T of s are closed under s one
         edge at a time; then d(u, v) = min(D[u][v], D[u][x] + C[x][y] +
@@ -245,14 +223,12 @@ class ConflictChecker:
                 yield u, v
 
     def is_free(self, s: Collection[Edge]) -> bool:
-        """Exact: is G + committed + s adjacent-conflict-free?"""
+        """Exact: is G + s adjacent-conflict-free?"""
         return next(self.violated(s), None) is None
 
     def analysis(self, s: Collection[Edge] = ()) -> ConflictAnalysis:
-        """``adjacent_conflicts`` of G + committed + s, from the kernel."""
-        conflicts = list(self.violated(s))
-        vertices = sorted({x for e in conflicts for x in e})
-        return ConflictAnalysis(frozenset(conflicts), tuple(vertices))
+        """``adjacent_conflicts`` of G + s, from the kernel."""
+        return _analysis(self.violated(s))
 
 
 def dilation(inst: Instance, s: Iterable[Edge] = ()) -> Stretch | float:
@@ -261,7 +237,7 @@ def dilation(inst: Instance, s: Iterable[Edge] = ()) -> Stretch | float:
     adj = inst.g_adjacency(s)
     worst = Fraction(1)
     for u in range(inst.n):
-        row = _dijkstra(adj, u)
+        row = dijkstra(adj, u)
         for v in range(u + 1, inst.n):
             if row[v] == INF:
                 return INF

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, find, norm_edge
 from .model import Instance, build_instance
 
 DEFAULT_TS = (Fraction(3, 2), Fraction(2), Fraction(3))
@@ -32,19 +32,12 @@ def random_tree(rng: random.Random, n: int) -> Graph:
 def random_forest_edges(rng: random.Random, n: int, p: float = 0.35) -> set[Edge]:
     """Random acyclic edge set via union-find over a shuffled pair stream."""
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
     edges = set()
     for u, v in pairs:
         if rng.random() < p:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 edges.add((u, v))

@@ -7,7 +7,7 @@ a size, so every engine reports the same first hit.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .graph import Edge
 from .model import ConflictChecker
@@ -24,9 +24,10 @@ def iter_subsets(candidates: Sequence[Edge], max_size: int) -> Iterator[tuple[Ed
         yield from combinations(ordered, size)
 
 
-def _first_of_size(checker: ConflictChecker, ordered: list[Edge], masks: list[int],
-                   size: int) -> tuple[int, ...] | None:
-    """First index combination of ``size`` that ``checker`` accepts.
+def _first_of_size(checker: ConflictChecker, base: list[Edge], ordered: list[Edge],
+                   masks: list[int], size: int) -> tuple[int, ...] | None:
+    """First index combination of ``size`` that ``checker`` accepts on top
+    of the edges ``base``.
 
     A combination is checked exactly only if it hits every ellipse mask.
     Each prefix of size - 1 intersects the masks it misses; the last index
@@ -34,7 +35,7 @@ def _first_of_size(checker: ConflictChecker, ordered: list[Edge], masks: list[in
     the front, since it is likely to reject the next prefix too.
     """
     if size == 0:
-        return () if checker.is_free(()) else None
+        return () if checker.is_free(base) else None
     m = len(ordered)
     for prefix in combinations(range(m - 1), size - 1):
         covered = 0
@@ -51,22 +52,25 @@ def _first_of_size(checker: ConflictChecker, ordered: list[Edge], masks: list[in
         while tails:
             low = tails & -tails
             combo = prefix + (low.bit_length() - 1,)
-            if checker.is_free([ordered[i] for i in combo]):
+            if checker.is_free(base + [ordered[i] for i in combo]):
                 return combo
             tails ^= low
     return None
 
 
 def first_conflict_free(checker: ConflictChecker, candidates: Sequence[Edge],
-                        k: int) -> frozenset[Edge] | None:
-    """First subset S of ``candidates`` (|S| <= k) that ``checker`` accepts,
-    in the canonical order, returned together with the checker's committed
-    edges; None if there is none.
+                        k: int, committed: Collection[Edge] = frozenset()
+                        ) -> frozenset[Edge] | None:
+    """First subset S of ``candidates`` (|S| <= k), in the canonical order,
+    such that G + committed + S is conflict-free; None if there is none.
+
+    Only the pairs still in conflict in G + committed get an ellipse mask.
     """
     ordered = sorted(candidates)
-    masks = checker.ellipse_masks(ordered)
+    base = sorted(committed)
+    masks = checker.ellipse_masks(ordered, checker.violated(base))
     for size in range(k + 1):
-        combo = _first_of_size(checker, ordered, masks, size)
+        combo = _first_of_size(checker, base, ordered, masks, size)
         if combo is not None:
-            return checker.committed.union(ordered[i] for i in combo)
+            return frozenset(ordered[i] for i in combo)
     return None

@@ -8,7 +8,7 @@ when it is large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .graph import Graph, ball
 from .model import ConflictChecker, Instance
@@ -20,11 +20,20 @@ class EngineInapplicable(ValueError):
     """The instance violates a structural precondition of the engine."""
 
 
-@dataclass(frozen=True)
-class CandidateRegion:
-    """Vertex set guaranteed to contain every solution-edge endpoint."""
-
-    vertices: tuple[int, ...]
+def tree_inapplicable(inst: Instance) -> str | None:
+    """Why ``solve_tree_gamma`` cannot decide ``inst``; None if it can."""
+    if not inst.gamma.is_tree():
+        return "gamma is not a tree"
+    if not inst.gamma.is_unweighted():
+        # With weights a detour around a tree edge of weight w costs only
+        # w + 2 * (lightest edge), so the edge is no longer forced.
+        return "tree engine requires an unweighted gamma"
+    if inst.t >= 3:
+        # A tree edge (u, v) missing from G+S could be bridged by a longer
+        # detour once t reaches 3, so the forced-edge argument only covers
+        # integral distances <= 2, i.e. t < 3.
+        return "tree engine requires t < 3"
+    return None
 
 
 def solve_tree_gamma(inst: Instance) -> Verdict:
@@ -32,25 +41,13 @@ def solve_tree_gamma(inst: Instance) -> Verdict:
     tree edges missing from G; the only question is whether they fit in the
     budget.
     """
-    if not inst.gamma.is_tree():
-        raise EngineInapplicable("gamma is not a tree")
-    if not inst.gamma.is_unweighted():
-        # With weights a detour around a tree edge of weight w costs only
-        # w + 2 * (lightest edge), so the edge is no longer forced.
-        raise EngineInapplicable("tree engine requires an unweighted gamma")
-    if inst.t >= 3:
-        # A tree edge (u, v) missing from G+S could be bridged by a longer
-        # detour once t reaches 3, so the forced-edge argument only covers
-        # integral distances <= 2, i.e. t < 3.
-        raise EngineInapplicable("tree engine requires t < 3")
+    reason = tree_inapplicable(inst)
+    if reason is not None:
+        raise EngineInapplicable(reason)
     missing = sorted(inst.gamma.edges - inst.g_edges)
     if len(missing) > inst.k:
         return Verdict.no()
     return Verdict.of(missing)
-
-
-def _floor(t) -> int:
-    return t.numerator // t.denominator
 
 
 def _ball_size_bound(count: int, delta: int, radius: int) -> int:
@@ -59,47 +56,37 @@ def _ball_size_bound(count: int, delta: int, radius: int) -> int:
     return count * sum(delta ** i for i in range(radius + 1))
 
 
-def _endpoint_candidates(inst: Instance, region: CandidateRegion) -> list:
-    allowed = set(region.vertices)
-    return [e for e in inst.non_edges() if e[0] in allowed and e[1] in allowed]
-
-
-def solve_bounded_gamma(inst: Instance) -> Verdict:
-    """FPT engine parameterized by the maximum degree of Gamma."""
+def _solve_bounded(inst: Instance, host: Graph, radius: int) -> Verdict:
+    """Search the non-edges within ``radius`` hops of the conflict vertices
+    in ``host``; with an edgeless host the degree bound is vacuous, so the
+    region is every vertex."""
     checker = ConflictChecker(inst)
     conflicts = checker.analysis()
     if not conflicts:
         return Verdict.of(())
     vc = conflicts.conflict_vertices
-    t_floor = _floor(inst.t)
-    delta = inst.gamma.max_degree()
-    if len(vc) > _ball_size_bound(2 * inst.k, delta, t_floor):
-        return Verdict.no()
-    region = CandidateRegion(tuple(ball(inst.gamma, vc, t_floor)))
-    sol = first_conflict_free(checker, _endpoint_candidates(inst, region), inst.k)
+    delta = host.max_degree()
+    if delta == 0:
+        region = set(range(inst.n))
+    else:
+        if len(vc) > _ball_size_bound(2 * inst.k, delta, math.floor(inst.t)):
+            return Verdict.no()
+        region = set(ball(host, vc, radius))
+    candidates = [e for e in inst.non_edges() if e[0] in region and e[1] in region]
+    sol = first_conflict_free(checker, candidates, inst.k)
     return Verdict.of(sol) if sol is not None else Verdict.no()
+
+
+def solve_bounded_gamma(inst: Instance) -> Verdict:
+    """FPT engine parameterized by the maximum degree of Gamma.  Gamma is
+    connected, so it is edgeless only when n = 1, with no conflict."""
+    return _solve_bounded(inst, inst.gamma, math.floor(inst.t))
 
 
 def solve_bounded_g(inst: Instance) -> Verdict:
     """FPT engine parameterized by the maximum degree of G.
 
     The candidate region is a hop-distance ball in the unweighted shadow
-    of G.  With an edgeless G the degree threshold is vacuous, so the
-    region falls back to all vertices instead of answering no.
+    of G, of radius floor(t)^2.
     """
-    checker = ConflictChecker(inst)
-    conflicts = checker.analysis()
-    if not conflicts:
-        return Verdict.of(())
-    vc = conflicts.conflict_vertices
-    t_floor = _floor(inst.t)
-    shadow = Graph(inst.n, inst.g_edges)
-    delta = shadow.max_degree()
-    if delta == 0:
-        region = CandidateRegion(tuple(range(inst.n)))
-    else:
-        if len(vc) > _ball_size_bound(2 * inst.k, delta, t_floor):
-            return Verdict.no()
-        region = CandidateRegion(tuple(ball(shadow, vc, t_floor * t_floor)))
-    sol = first_conflict_free(checker, _endpoint_candidates(inst, region), inst.k)
-    return Verdict.of(sol) if sol is not None else Verdict.no()
+    return _solve_bounded(inst, Graph(inst.n, inst.g_edges), math.floor(inst.t) ** 2)

@@ -5,6 +5,7 @@ import pytest
 
 from dilaug import oracle
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
+from dilaug.fileformat import ParseError, parse_rational
 from dilaug.oracle import Verdict
 
 TRIANGLE = """\
@@ -240,6 +241,42 @@ class TestGen:
                          "--epsilon", "1/2")
         assert code == EXIT_YES
         assert text.splitlines()[0] == "p dilaug 16 1 5/2"
+
+    @pytest.mark.parametrize("generator, source, line", [
+        ("domset", "p src 3 x\n", 1),
+        ("domset", "p src 3 1\ne 1 b\n", 2),
+        ("mcq", "p src 2 2\ne 1 2\nv 1 q\nv 2 2\n", 3),
+        ("domset", "p src 3 1\ne 1 3\np src 2 1\n", 3),
+    ])
+    def test_malformed_source_is_usage_error(self, tmp_path, capsys, generator,
+                                             source, line):
+        src = tmp_path / "src.txt"
+        src.write_text(source)
+        assert cli("gen", generator, "--source", str(src)) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"line {line}" in err
+
+    # Tokens a header and --epsilon both accept or both reject as rationals;
+    # the range checks (t >= 1, 0 < epsilon < 1) differ.
+    @pytest.mark.parametrize("token", ["2", "3/2", "1/2", "-1/2", "0.5", "1.5",
+                                       "1e0", "x", "1/0", "1/2/3", "/2", "2/"])
+    def test_epsilon_and_header_share_rational_syntax(self, tmp_path, capsys, token):
+        src = tmp_path / "src.txt"
+        src.write_text("p src 4 1\ne 1 2\ne 2 3\ne 3 4\n")
+        inst = tmp_path / "inst.dilaug"
+        inst.write_text(f"p dilaug 2 0 {token}\ne 1 2 1\ng 1 2\n")
+        try:
+            value = parse_rational(token)
+        except ParseError:
+            value = None
+        code, _ = cli("gen", "diam2w", "--source", str(src), "--epsilon", token)
+        eps_err = capsys.readouterr().err
+        assert code == (EXIT_YES if value is not None and 0 < value < 1 else EXIT_USAGE)
+        code, _ = cli("solve", "--input", str(inst))
+        header_err = capsys.readouterr().err
+        assert code == (EXIT_YES if value is not None and value >= 1 else EXIT_USAGE)
+        assert ("bad rational" in eps_err) == ("bad rational" in header_err) == (value is None)
 
     def test_bad_source_line(self, tmp_path, capsys):
         src = tmp_path / "src.txt"

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from dilaug.graph import (Graph, GraphError, ball, greedy_maximal_matching,
                           norm_edge)
 
-from conftest import brute_max_matching, enumerate_path_distance, nx_apsp
+from conftest import brute_max_matching, enumerate_path_distance, nx_apsp, nx_graph
 
 
 def small_graphs(max_n=7, weighted=False):
@@ -110,6 +111,11 @@ class TestStructure:
         assert Graph(1).is_connected()
         assert Graph(2, [(0, 1)]).is_connected()
         assert not Graph(2).is_connected()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_is_forest_matches_networkx(self, g):
+        assert g.is_forest() == nx.is_forest(nx_graph(g.n, g.edges))
 
     def test_max_degree_star(self):
         g = Graph(5, [(0, i) for i in range(1, 5)])

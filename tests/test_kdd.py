@@ -205,18 +205,3 @@ class TestSolveKdd:
         assert yes > 50
         assert stats.cover_violations == 0
         assert stats.budget_violations == 0
-
-    def test_twin_modes_agree(self):
-        rng = random.Random(4005)
-        for _ in range(120):
-            inst = random_instance(rng, n_max=7, k_max=2,
-                                   ts=(Fraction(2),), forest_g=True)
-            base = solve_kdd(inst, 2, twin_mode="restrict")
-            other = solve_kdd(inst, 2, twin_mode="off")
-            assert other.yes == base.yes
-            if other.yes:
-                assert verify_solution(inst, other.solution).ok
-
-    def test_unknown_twin_mode(self, star_instance):
-        with pytest.raises(ValueError):
-            solve_kdd(star_instance, 2, twin_mode="bogus")

@@ -2,7 +2,8 @@
 
 Instances have weighted Gamma (weights 1-4), stretches other than the
 corpus defaults, and random committed edges, none of which
-``randinst.random_instance`` generates.
+``randinst.random_instance`` generates.  The kernel holds G alone; the
+committed edges reach it only through the sets it checks.
 """
 
 from fractions import Fraction
@@ -42,7 +43,7 @@ def searches(draw, max_n=6):
 def naive_first(inst, candidates, k, committed):
     for combo in iter_subsets(candidates, k):
         if is_conflict_free(inst, committed.union(combo)):
-            return committed.union(combo)
+            return frozenset(combo)
     return None
 
 
@@ -50,11 +51,11 @@ def naive_first(inst, candidates, k, committed):
 @given(searches())
 def test_checker_agrees_with_is_conflict_free(case):
     inst, committed, candidates = case
-    checker = ConflictChecker(inst, committed)
+    checker = ConflictChecker(inst)
     for s in iter_subsets(candidates, 3):
-        full = committed.union(s)
-        assert checker.is_free(s) == is_conflict_free(inst, full)
-        assert checker.analysis(s) == adjacent_conflicts(inst, full)
+        full = sorted(committed) + list(s)
+        assert checker.is_free(full) == is_conflict_free(inst, full)
+        assert checker.analysis(full) == adjacent_conflicts(inst, full)
 
 
 @settings(max_examples=80, deadline=None)
@@ -62,7 +63,8 @@ def test_checker_agrees_with_is_conflict_free(case):
 def test_ellipse_filter_never_rejects_a_solution(case):
     inst, committed, candidates = case
     ordered = sorted(candidates)
-    masks = ConflictChecker(inst, committed).ellipse_masks(ordered)
+    checker = ConflictChecker(inst)
+    masks = checker.ellipse_masks(ordered, checker.violated(sorted(committed)))
     for s in iter_subsets(ordered, 3):
         if is_conflict_free(inst, committed.union(s)):
             bits = sum(1 << ordered.index(e) for e in s)
@@ -73,5 +75,5 @@ def test_ellipse_filter_never_rejects_a_solution(case):
 @given(searches(), st.integers(min_value=0, max_value=3))
 def test_first_conflict_free_matches_naive_loop(case, k):
     inst, committed, candidates = case
-    assert (first_conflict_free(ConflictChecker(inst, committed), candidates, k)
+    assert (first_conflict_free(ConflictChecker(inst), candidates, k, committed)
             == naive_first(inst, candidates, k, committed))
