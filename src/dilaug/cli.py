@@ -132,10 +132,8 @@ def cmd_gen(args, out) -> int:
             gen = gen_diameter2_weighted(src, eps)
         elif args.generator == "spanner":
             gen = gen_spanner_edgeless(SourceProblem("two-spanner", graph, k))
-        elif args.generator == "diam2k":
+        else:  # diam2k; argparse admits no other generator
             gen = gen_diameter2_clique(SourceProblem("diameter2-augmentation", graph, k))
-        else:
-            raise CliError(f"unknown generator {args.generator!r}")
     except ValueError as exc:  # includes InstanceError and MetricUndefinedError
         raise CliError(str(exc))
     body = serialize_instance(gen.instance)
@@ -181,8 +179,6 @@ def cmd_fuzz(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
-    if args.suite != "quick":
-        raise CliError(f"unknown bench suite {args.suite!r}")
     rng = random.Random(12345)
     rows = []
     for i in range(10):
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--count", type=int, required=True)
 
     p_bench = sub.add_parser("bench", help="timing report")
-    p_bench.add_argument("--suite", required=True)
+    p_bench.add_argument("--suite", required=True, choices=("quick",))
     return parser
 
 

@@ -129,9 +129,11 @@ def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> I
     if header is None:
         raise ParseError("missing 'p dilaug' header")
     n, k, t = header
-    gamma = Graph(n, gamma_edges, gamma_edges)
     try:
-        return build_instance(gamma, g_edges, k, t)
+        if len(gamma_edges) < n - 1:
+            # Too few edges to connect n vertices: fail before Graph allocates.
+            raise MetricUndefinedError()
+        return build_instance(Graph(n, gamma_edges, gamma_edges), g_edges, k, t)
     except (MetricUndefinedError, InstanceError) as exc:
         raise ParseError(str(exc)) from exc
 

@@ -155,10 +155,8 @@ def branch_blocking(ann: AnnotatedInstance, bs: BlockingSet) -> list[AnnotatedIn
         for wprime in combinations(usable, size_w):
             wset = set(wprime)
             pool = wset | (set(ann.r) - {v})
-            eligible = sorted(
-                (a, b) for a in range(ann.base.n) for b in range(a + 1, ann.base.n)
-                if (a, b) not in g_cur
-                and ((a in wset and b in pool) or (b in wset and a in pool)))
+            eligible = [(a, b) for a, b in combinations(sorted(pool), 2)
+                        if (a, b) not in g_cur and (a in wset or b in wset)]
             budget_left = ann.k - size_w
             commit_w = frozenset(norm_edge(v, w) for w in wprime)
             for size_e in range(budget_left + 1):
@@ -200,20 +198,21 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: ConflictAnalysis) -> ReducedS
 
 def _final_enumeration(ann: AnnotatedInstance, conflicts: ConflictAnalysis,
                        root: ConflictChecker) -> frozenset[Edge] | None:
-    allowed = set(twin_reduce(ann, conflicts).candidates)
+    allowed = twin_reduce(ann, conflicts).candidates
     in_r = set(ann.r)
     g_cur = ann.g_edges
-    candidates = [
-        (a, b) for a in range(ann.base.n) for b in range(a + 1, ann.base.n)
-        if (a, b) not in g_cur and a in allowed and b in allowed
-        and not (a in in_r and b in in_r)]
-    return first_conflict_free(root, candidates, ann.k, ann.added)
+    candidates = [(a, b) for a, b in combinations(allowed, 2)
+                  if (a, b) not in g_cur and not (a in in_r and b in in_r)]
+    return first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
 
 
 def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
-                     root: ConflictChecker) -> frozenset[Edge] | None:
+                     root: ConflictChecker, pending: frozenset[Edge]
+                     ) -> frozenset[Edge] | None:
+    """Solve below ``ann``; ``pending`` holds its parent's conflict pairs,
+    a superset of its own since ``ann.added`` holds the parent's edges."""
     stats.note_node(len(ann.r))
-    conflicts = root.analysis(ann.added)
+    conflicts = root.analysis(ann.added, pending)
     if not conflicts:
         return frozenset()
     if ann.k == 0:
@@ -233,7 +232,8 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
             return None
         for child in branch_blocking(ann, bs):
             stats.note_child(ann.k, child.k)
-            below = _solve_annotated(child, d, stats, root)
+            below = _solve_annotated(child, d, stats, root,
+                                     conflicts.conflict_edges)
             if below is not None:
                 return (child.added - ann.added) | below
         return None
@@ -277,7 +277,7 @@ def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdi
         committed = frozenset(norm_edge(a, b) for a, b in ej)
         ann = AnnotatedInstance(base=inst, added=committed,
                                 k=inst.k - len(committed), r=r)
-        below = _solve_annotated(ann, d, stats, root)
+        below = _solve_annotated(ann, d, stats, root, conflicts.conflict_edges)
         if below is not None:
             return Verdict.of(committed | below)
     return Verdict.no()

@@ -1,13 +1,14 @@
 """Metric embedding of G in Gamma's shortest-path metric.
 
 Houses instances, conflict detection, dilation and solution verification.
-All stretch comparisons use exact rational arithmetic (cross-multiplied
-integers); floating point never touches a threshold decision.
+Every distance in G + S is an integer or INF, so t enters every stretch
+comparison as one integer limit per Gamma edge (``stretch_limit``);
+floating point never touches a threshold decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import add
@@ -21,6 +22,9 @@ Stretch = Fraction
 class MetricUndefinedError(ValueError):
     """Gamma is disconnected, so the shortest-path metric is undefined."""
 
+    def __init__(self) -> None:
+        super().__init__("metric undefined: gamma is disconnected")
+
 
 class InstanceError(ValueError):
     """Malformed instance data (bad G edges, negative budget, t < 1)."""
@@ -31,7 +35,8 @@ class Instance:
     """An immutable (G, Gamma, k, t) instance with the metric precomputed.
 
     ``dist_gamma[u][v]`` is the Gamma shortest-path distance; every G edge
-    (u, v) is embedded with weight ``dist_gamma[u][v]``.
+    (u, v) is embedded with weight ``dist_gamma[u][v]``.  ``limit[u, v]``
+    is the ``stretch_limit`` of each Gamma edge (u, v), u < v.
     """
 
     gamma: Graph
@@ -39,6 +44,7 @@ class Instance:
     k: int
     t: Stretch
     dist_gamma: tuple[tuple[int, ...], ...]
+    limit: dict[Edge, int] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -77,15 +83,18 @@ class VerifyResult:
     reason: str | None = None
 
 
-def normalize_solution(edges: Iterable[Edge], n: int) -> frozenset[Edge]:
-    out = set()
+def _checked_edges(edges: Iterable[Edge], n: int, what: str) -> Iterator[Edge]:
+    """``edges`` normalized, each checked to be no self-loop and in range."""
     for u, v in edges:
         if u == v:
-            raise InstanceError(f"solution edge ({u}, {v}) is a self-loop")
+            raise InstanceError(f"{what} edge ({u}, {v}) is a self-loop")
         if not (0 <= u < n and 0 <= v < n):
-            raise InstanceError(f"solution edge ({u}, {v}) out of range")
-        out.add(norm_edge(u, v))
-    return frozenset(out)
+            raise InstanceError(f"{what} edge ({u}, {v}) out of range [0, {n})")
+        yield norm_edge(u, v)
+
+
+def normalize_solution(edges: Iterable[Edge], n: int) -> frozenset[Edge]:
+    return frozenset(_checked_edges(edges, n, "solution"))
 
 
 def build_instance(gamma: Graph, g_edges: Iterable[Edge], k: int,
@@ -97,12 +106,7 @@ def build_instance(gamma: Graph, g_edges: Iterable[Edge], k: int,
     if t < 1:
         raise InstanceError("stretch t must be at least 1")
     seen: set[Edge] = set()
-    for u, v in g_edges:
-        if u == v:
-            raise InstanceError(f"G edge ({u}, {v}) is a self-loop")
-        if not (0 <= u < gamma.n and 0 <= v < gamma.n):
-            raise InstanceError(f"G edge ({u}, {v}) out of range [0, {gamma.n})")
-        e = norm_edge(u, v)
+    for e in _checked_edges(g_edges, gamma.n, "G"):
         if e in seen:
             raise InstanceError(f"duplicate G edge {e}")
         seen.add(e)
@@ -110,32 +114,30 @@ def build_instance(gamma: Graph, g_edges: Iterable[Edge], k: int,
     for source in range(gamma.n):
         row = gamma.weighted_distances(source)
         if INF in row:
-            raise MetricUndefinedError("metric undefined: gamma is disconnected")
-        dist.append(tuple(int(d) for d in row))
+            raise MetricUndefinedError()
+        dist.append(tuple(row))
+    limit = {(u, v): stretch_limit(dist[u][v], t) for u, v in gamma.edges}
     return Instance(gamma=gamma, g_edges=frozenset(seen), k=k, t=t,
-                    dist_gamma=tuple(dist))
+                    dist_gamma=tuple(dist), limit=limit)
 
 
-def stretch_leq(dg: float, dgamma: int, t: Stretch) -> bool:
-    """Exact test of dg <= t * dgamma; an infinite dg always fails."""
-    if dg == INF:
-        return False
-    return t.denominator * dg <= t.numerator * dgamma
+def stretch_limit(d_gamma: int, t: Stretch) -> int:
+    """The largest integer d <= t * d_gamma: a distance in G + S, an integer
+    or INF, is within t of d_gamma exactly when it is at most this."""
+    return t.numerator * d_gamma // t.denominator
 
 
 def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
     """The Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma,
     lazily and in order; one Dijkstra run per distinct first endpoint."""
     adj = inst.g_adjacency(s)
-    dist_gamma = inst.dist_gamma
-    num, den = inst.t.numerator, inst.t.denominator
+    limit = inst.limit
     rows: dict[int, list[float]] = {}
     for u, v in sorted(inst.gamma.edges):
         row = rows.get(u)
         if row is None:
             row = rows[u] = dijkstra(adj, u)
-        d = row[v]
-        if d == INF or den * d > num * dist_gamma[u][v]:
+        if row[v] > limit[u, v]:
             yield u, v
 
 
@@ -159,23 +161,21 @@ class ConflictChecker:
     """Conflict checks of G + S for many small sets S.
 
     Built once per engine call: it holds the all-pairs distances D of G and
-    the base conflict pairs, the Gamma edges that violate t there.  Adding
-    edges only shortens distances, so no other pair can conflict once S is
-    added.  ``violated`` finds the pairs S leaves in conflict, exactly,
-    through the distances among S's endpoints; ``ellipse_masks`` gives the
-    quick necessary condition a search tests first.
+    the base conflict pairs, the Gamma edges above their ``inst.limit``
+    there.  Adding edges only shortens distances, so no other pair can
+    conflict once S is added, and a check of S + S' needs only the pairs
+    still pending for S.  ``violated`` finds the pairs S leaves in
+    conflict, exactly, through the distances among S's endpoints;
+    ``ellipse_masks`` gives the quick necessary condition a search tests
+    first.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         adj = inst.g_adjacency()
         self.dist = [dijkstra(adj, u) for u in range(inst.n)]
-        self._num, self._den = inst.t.numerator, inst.t.denominator
         self.pairs = [(u, v) for u, v in sorted(inst.gamma.edges)
-                      if not self._within(self.dist[u][v], u, v)]
-
-    def _within(self, d: float, u: int, v: int) -> bool:
-        return self._den * d <= self._num * self.inst.dist_gamma[u][v]
+                      if self.dist[u][v] > inst.limit[u, v]]
 
     def ellipse_masks(self, candidates: Sequence[Edge],
                       pairs: Iterable[Edge]) -> list[int]:
@@ -188,17 +188,20 @@ class ConflictChecker:
         dg = self.inst.dist_gamma
         masks = []
         for u, v in pairs:
-            du, dv = dg[u], dg[v]
+            du, dv, limit = dg[u], dg[v], self.inst.limit[u, v]
             mask = 0
             for i, (a, b) in enumerate(candidates):
-                shorter = min(du[a] + dv[b], du[b] + dv[a])
-                if self._within(shorter + dg[a][b], u, v):
+                if min(du[a] + dv[b], du[b] + dv[a]) + dg[a][b] <= limit:
                     mask |= 1 << i
             masks.append(mask)
         return masks
 
-    def violated(self, s: Collection[Edge] = ()) -> Iterator[Edge]:
-        """The base conflict pairs that G + s still leaves above t, lazily.
+    def violated(self, s: Collection[Edge] = (),
+                 pairs: Iterable[Edge] | None = None) -> Iterator[Edge]:
+        """The pairs of ``pairs`` (default: the base conflict pairs) that
+        G + s still leaves above t, lazily.  Exact whenever ``pairs`` holds
+        every pair in conflict in G + s, as the pending pairs of any subset
+        of s do.
 
         The distances among the endpoints T of s are closed under s one
         edge at a time; then d(u, v) = min(D[u][v], D[u][x] + C[x][y] +
@@ -214,21 +217,26 @@ class ConflictChecker:
             close = [[min(cxy, row[ia] + w + cby, row[ib] + w + cay)
                       for cxy, cay, cby in zip(row, row_a, row_b)]
                      for row in close]
-        for u, v in self.pairs:
+        limit = self.inst.limit
+        for u, v in self.pairs if pairs is None else pairs:
             du, dv = dist[u], dist[v]
             to_v = [dv[y] for y in terms]
             best = min((du[x] + min(map(add, row, to_v))
                         for x, row in zip(terms, close)), default=INF)
-            if not self._within(min(du[v], best), u, v):
+            if min(du[v], best) > limit[u, v]:
                 yield u, v
 
-    def is_free(self, s: Collection[Edge]) -> bool:
-        """Exact: is G + s adjacent-conflict-free?"""
-        return next(self.violated(s), None) is None
+    def is_free(self, s: Collection[Edge],
+                pairs: Iterable[Edge] | None = None) -> bool:
+        """Exact: is G + s adjacent-conflict-free?  ``pairs`` as in
+        ``violated``."""
+        return next(self.violated(s, pairs), None) is None
 
-    def analysis(self, s: Collection[Edge] = ()) -> ConflictAnalysis:
-        """``adjacent_conflicts`` of G + s, from the kernel."""
-        return _analysis(self.violated(s))
+    def analysis(self, s: Collection[Edge] = (),
+                 pairs: Iterable[Edge] | None = None) -> ConflictAnalysis:
+        """``adjacent_conflicts`` of G + s, from the kernel; ``pairs`` as
+        in ``violated``."""
+        return _analysis(self.violated(s, pairs))
 
 
 def dilation(inst: Instance, s: Iterable[Edge] = ()) -> Stretch | float:

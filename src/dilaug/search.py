@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Collection, Iterator, Sequence
 
 from .graph import Edge
-from .model import ConflictChecker
+from .model import ConflictAnalysis, ConflictChecker
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -24,53 +24,46 @@ def iter_subsets(candidates: Sequence[Edge], max_size: int) -> Iterator[tuple[Ed
         yield from combinations(ordered, size)
 
 
-def _first_of_size(checker: ConflictChecker, base: list[Edge], ordered: list[Edge],
-                   masks: list[int], size: int) -> tuple[int, ...] | None:
-    """First index combination of ``size`` that ``checker`` accepts on top
-    of the edges ``base``.
+def first_conflict_free(checker: ConflictChecker, conflicts: ConflictAnalysis,
+                        candidates: Sequence[Edge], k: int,
+                        committed: Collection[Edge] = frozenset()
+                        ) -> frozenset[Edge] | None:
+    """First subset S of ``candidates`` (|S| <= k), in the canonical order,
+    such that G + committed + S is conflict-free; None if there is none.
+
+    ``conflicts`` is the conflict analysis of G + committed.  Only its
+    pairs get an ellipse mask, and only they are checked for each S.
 
     A combination is checked exactly only if it hits every ellipse mask.
     Each prefix of size - 1 intersects the masks it misses; the last index
     ranges over that intersection alone.  The mask that emptied it moves to
     the front, since it is likely to reject the next prefix too.
     """
-    if size == 0:
-        return () if checker.is_free(base) else None
-    m = len(ordered)
-    for prefix in combinations(range(m - 1), size - 1):
-        covered = 0
-        for i in prefix:
-            covered |= 1 << i
-        start = prefix[-1] + 1 if prefix else 0
-        tails = (1 << m) - (1 << start)
-        for pos, mask in enumerate(masks):
-            if not mask & covered:
-                tails &= mask
-                if not tails:
-                    masks.insert(0, masks.pop(pos))
-                    break
-        while tails:
-            low = tails & -tails
-            combo = prefix + (low.bit_length() - 1,)
-            if checker.is_free(base + [ordered[i] for i in combo]):
-                return combo
-            tails ^= low
-    return None
-
-
-def first_conflict_free(checker: ConflictChecker, candidates: Sequence[Edge],
-                        k: int, committed: Collection[Edge] = frozenset()
-                        ) -> frozenset[Edge] | None:
-    """First subset S of ``candidates`` (|S| <= k), in the canonical order,
-    such that G + committed + S is conflict-free; None if there is none.
-
-    Only the pairs still in conflict in G + committed get an ellipse mask.
-    """
+    if not conflicts:
+        return frozenset()
     ordered = sorted(candidates)
     base = sorted(committed)
-    masks = checker.ellipse_masks(ordered, checker.violated(base))
-    for size in range(k + 1):
-        combo = _first_of_size(checker, base, ordered, masks, size)
-        if combo is not None:
-            return frozenset(ordered[i] for i in combo)
+    pending = sorted(conflicts.conflict_edges)
+    masks = checker.ellipse_masks(ordered, pending)
+    m = len(ordered)
+    for size in range(1, k + 1):
+        for prefix in combinations(range(m - 1), size - 1):
+            covered = 0
+            for i in prefix:
+                covered |= 1 << i
+            start = prefix[-1] + 1 if prefix else 0
+            tails = (1 << m) - (1 << start)
+            for pos, mask in enumerate(masks):
+                if not mask & covered:
+                    tails &= mask
+                    if not tails:
+                        masks.insert(0, masks.pop(pos))
+                        break
+            while tails:
+                low = tails & -tails
+                combo = prefix + (low.bit_length() - 1,)
+                s = [ordered[i] for i in combo]
+                if checker.is_free(base + s, pending):
+                    return frozenset(s)
+                tails ^= low
     return None

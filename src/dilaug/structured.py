@@ -62,8 +62,6 @@ def _solve_bounded(inst: Instance, host: Graph, radius: int) -> Verdict:
     region is every vertex."""
     checker = ConflictChecker(inst)
     conflicts = checker.analysis()
-    if not conflicts:
-        return Verdict.of(())
     vc = conflicts.conflict_vertices
     delta = host.max_degree()
     if delta == 0:
@@ -73,7 +71,7 @@ def _solve_bounded(inst: Instance, host: Graph, radius: int) -> Verdict:
             return Verdict.no()
         region = set(ball(host, vc, radius))
     candidates = [e for e in inst.non_edges() if e[0] in region and e[1] in region]
-    sol = first_conflict_free(checker, candidates, inst.k)
+    sol = first_conflict_free(checker, conflicts, candidates, inst.k)
     return Verdict.of(sol) if sol is not None else Verdict.no()
 
 

@@ -119,6 +119,15 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
 
+    def test_header_n_without_edges_is_rejected_before_allocation(self, tmp_path, capsys):
+        # Fewer than n - 1 gamma edges cannot connect n vertices; the
+        # parser says so without building a graph of 10^12 vertices.
+        path = tmp_path / "huge.dilaug"
+        path.write_text("p dilaug 1000000000000 0 2\n")
+        code, _ = cli("solve", "--input", str(path))
+        assert code == EXIT_USAGE
+        assert "metric undefined: gamma is disconnected" in capsys.readouterr().err
+
     def test_auto_avoids_tree_on_weighted_tree(self, tmp_path):
         path = tmp_path / "wtree.dilaug"
         path.write_text(WEIGHTED_TREE)

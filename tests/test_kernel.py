@@ -3,7 +3,8 @@
 Instances have weighted Gamma (weights 1-4), stretches other than the
 corpus defaults, and random committed edges, none of which
 ``randinst.random_instance`` generates.  The kernel holds G alone; the
-committed edges reach it only through the sets it checks.
+committed edges reach it only through the sets it checks, and the pairs
+pending at a set through its conflict analysis.
 """
 
 from fractions import Fraction
@@ -12,9 +13,9 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug.graph import Graph
+from dilaug.graph import INF, Graph
 from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
-                          is_conflict_free)
+                          is_conflict_free, stretch_limit)
 from dilaug.search import first_conflict_free, iter_subsets
 
 STRETCHES = (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3),
@@ -47,6 +48,19 @@ def naive_first(inst, candidates, k, committed):
     return None
 
 
+stretches = st.one_of(
+    st.sampled_from(STRETCHES),
+    st.tuples(st.integers(min_value=1, max_value=10 ** 6),
+              st.integers(min_value=1, max_value=10 ** 6))
+    .map(lambda pq: Fraction(max(pq), min(pq))))
+
+
+@given(st.integers(min_value=0), st.integers(min_value=1), stretches)
+def test_stretch_limit_is_exact(d, dg, t):
+    assert (d <= stretch_limit(dg, t)) == (Fraction(d) <= t * dg)
+    assert not INF <= stretch_limit(dg, t)
+
+
 @settings(max_examples=80, deadline=None)
 @given(searches())
 def test_checker_agrees_with_is_conflict_free(case):
@@ -56,6 +70,20 @@ def test_checker_agrees_with_is_conflict_free(case):
         full = sorted(committed) + list(s)
         assert checker.is_free(full) == is_conflict_free(inst, full)
         assert checker.analysis(full) == adjacent_conflicts(inst, full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches())
+def test_pending_pairs_of_a_subset_give_the_same_analysis(case):
+    # For A within B, the pairs in conflict in G + B are among those of
+    # G + A, so checking only A's pending pairs loses nothing.
+    inst, committed, candidates = case
+    checker = ConflictChecker(inst)
+    base = sorted(committed)
+    pending = checker.analysis(base).conflict_edges
+    for s in iter_subsets(candidates, 3):
+        bigger = base + list(s)
+        assert checker.analysis(bigger, pending) == checker.analysis(bigger)
 
 
 @settings(max_examples=80, deadline=None)
@@ -75,5 +103,7 @@ def test_ellipse_filter_never_rejects_a_solution(case):
 @given(searches(), st.integers(min_value=0, max_value=3))
 def test_first_conflict_free_matches_naive_loop(case, k):
     inst, committed, candidates = case
-    assert (first_conflict_free(ConflictChecker(inst), candidates, k, committed)
+    checker = ConflictChecker(inst)
+    conflicts = checker.analysis(sorted(committed))
+    assert (first_conflict_free(checker, conflicts, candidates, k, committed)
             == naive_first(inst, candidates, k, committed))

@@ -7,7 +7,7 @@ import pytest
 from dilaug.graph import Graph
 from dilaug.model import (InstanceError, MetricUndefinedError,
                           adjacent_conflicts, build_instance, dilation,
-                          is_conflict_free, normalize_solution, stretch_leq,
+                          is_conflict_free, normalize_solution, stretch_limit,
                           verify_solution)
 from dilaug.randinst import random_instance, random_solution
 
@@ -54,18 +54,22 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             normalize_solution([(1, 1)], 3)
 
+    def test_normalize_solution_rejects_out_of_range(self):
+        with pytest.raises(InstanceError, match=r"out of range \[0, 3\)"):
+            normalize_solution([(0, 3)], 3)
 
-class TestStretchLeq:
+
+class TestStretchLimit:
     def test_exact_boundary(self):
-        assert stretch_leq(3, 2, Fraction(3, 2))
-        assert not stretch_leq(4, 2, Fraction(3, 2))
+        assert 3 <= stretch_limit(2, Fraction(3, 2))
+        assert not 4 <= stretch_limit(2, Fraction(3, 2))
 
     def test_infinite_distance_fails(self):
-        assert not stretch_leq(math.inf, 1, Fraction(100))
+        assert not math.inf <= stretch_limit(1, Fraction(100))
 
     def test_no_float_rounding(self):
         # 1/3 * 3 must compare exactly, not as 0.9999...
-        assert stretch_leq(1, 3, Fraction(1, 3))
+        assert 1 <= stretch_limit(3, Fraction(1, 3))
 
 
 class TestConflicts:

@@ -97,9 +97,12 @@ class TestFirstConflictFree:
     def test_committed_edges_count_toward_result(self, star_instance):
         # The committed edge fixes the pair (0, 1) but is not returned.
         checker = ConflictChecker(star_instance)
-        sol = first_conflict_free(checker, [(0, 2), (0, 3)], 2, {(0, 1)})
+        sol = first_conflict_free(checker, checker.analysis([(0, 1)]),
+                                  [(0, 2), (0, 3)], 2, {(0, 1)})
         assert sol == frozenset({(0, 2), (0, 3)})
-        assert first_conflict_free(checker, [(0, 2), (0, 3)], 2) is None
+        assert first_conflict_free(checker, checker.analysis(),
+                                   [(0, 2), (0, 3)], 2) is None
 
     def test_none_when_unsatisfiable(self, star_instance):
-        assert first_conflict_free(ConflictChecker(star_instance), [(1, 2)], 1) is None
+        checker = ConflictChecker(star_instance)
+        assert first_conflict_free(checker, checker.analysis(), [(1, 2)], 1) is None
