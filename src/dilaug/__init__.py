@@ -1,7 +1,7 @@
 """Exact decision solvers for dilation t-augmentation of graph spanners."""
 
 from .graph import Graph, GraphError, INF, ball, greedy_maximal_matching, norm_edge
-from .model import (ConflictAnalysis, ConflictChecker, Instance, InstanceError,
+from .model import (ConflictChecker, Instance, InstanceError,
                     MetricUndefinedError, Stretch, VerifyResult,
                     adjacent_conflicts, build_instance, dilation, stretch_limit,
                     verify_solution)

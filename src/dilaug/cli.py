@@ -21,12 +21,11 @@ from .fileformat import (ParseError, parse_instance, parse_rational,
                          serialize_solution)
 from .graph import Graph
 from .model import Instance, verify_solution
-from .oracle import Verdict
-from .randinst import random_instance
+from .oracle import SearchBudgetExceeded, Verdict
+from .randinst import DEFAULT_TS, STRETCHES, random_instance
 from .reductions import (SourceProblem, gen_diameter2_clique,
                          gen_diameter2_weighted, gen_dominating_set_star,
                          gen_multicolored_clique, gen_spanner_edgeless)
-from .search import SearchBudgetExceeded
 from .structured import EngineInapplicable
 
 ENGINES = ("brute", "tree", "bounded-gamma", "bounded-g", "kdd", "auto")
@@ -48,8 +47,6 @@ def _pick_auto(inst: Instance, d: int | None) -> str:
         return "tree"
     if d is not None and kdd.kdd_inapplicable(inst) is None:
         return "kdd"
-    if inst.n <= 10:
-        return "brute"
     g_degree = Graph(inst.n, inst.g_edges).max_degree()
     if inst.gamma.max_degree() <= g_degree:
         return "bounded-gamma"
@@ -163,8 +160,10 @@ def cmd_fuzz(args, out) -> int:
     rng = random.Random(args.seed)
     failures = 0
     for i in range(args.count):
-        inst = random_instance(rng, n_max=8, k_max=2,
-                               forest_g=(i % 2 == 0))
+        weighted = i % 2 == 1  # even draws have a forest G, for kdd and tree
+        inst = random_instance(rng, n_max=8, k_max=2, forest_g=not weighted,
+                               ts=STRETCHES if weighted else DEFAULT_TS,
+                               max_weight=4 if weighted else 1)
         expected = oracle.solve_min(inst)
         for name in _applicable_engines(inst):
             got = dispatch(inst, name, d=2)

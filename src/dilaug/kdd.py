@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graph import Edge, Graph, greedy_maximal_matching, norm_edge
-from .model import ConflictAnalysis, ConflictChecker, Instance
+from .model import ConflictChecker, Instance
 from .oracle import Verdict
 from .search import first_conflict_free, iter_subsets
 from .structured import EngineInapplicable
@@ -104,18 +104,18 @@ def f_value(i: int, k: int, d: int) -> int:
 
 
 def find_blocking_set(ann: AnnotatedInstance, v: int, d: int,
-                      conflicts: ConflictAnalysis) -> BlockingSet | None:
+                      conflicts: frozenset[Edge]) -> BlockingSet | None:
     """Grow the witness sequence for a high-conflict-degree cover vertex.
 
     Returns None when no vertex of I has more than f(1) G-neighbors among
     v's conflict partners: in that case the branch is a no-instance.
     Raises NotKddFree if d witnesses ever accumulate.  ``conflicts`` is
-    the node's conflict analysis.
+    the node's set of conflict pairs.
     """
     g = Graph(ann.base.n, ann.g_edges)
     in_r = set(ann.r)
     i_set = [x for x in range(ann.base.n) if x not in in_r]
-    u_set = {x for x in i_set if norm_edge(v, x) in conflicts.conflict_edges}
+    u_set = {x for x in i_set if norm_edge(v, x) in conflicts}
     if len(u_set) <= f_value(0, ann.k, d):
         raise ValueError("find_blocking_set needs deg_C(v) in I above f(0)")
     witnesses: list[int] = []
@@ -169,7 +169,7 @@ def branch_blocking(ann: AnnotatedInstance, bs: BlockingSet) -> list[AnnotatedIn
     return children
 
 
-def twin_reduce(ann: AnnotatedInstance, conflicts: ConflictAnalysis) -> ReducedSearch:
+def twin_reduce(ann: AnnotatedInstance, conflicts: frozenset[Edge]) -> ReducedSearch:
     """Partition the conflict-free vertices by twin signature and keep one
     representative per class.
 
@@ -177,9 +177,9 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: ConflictAnalysis) -> ReducedS
     deletion from Gamma: deleting vertices could change d_Gamma between
     survivors and silently alter edge weights, whereas the replacement
     argument only relocates solution endpoints onto representatives.
-    ``conflicts`` is the node's conflict analysis.
+    ``conflicts`` is the node's set of conflict pairs.
     """
-    vc = set(conflicts.conflict_vertices)
+    vc = {x for e in conflicts for x in e}
     g_cur = ann.g_edges
     dist = ann.base.dist_gamma
     classes: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
@@ -196,7 +196,7 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: ConflictAnalysis) -> ReducedS
                          representatives=reps, class_count=len(classes))
 
 
-def _final_enumeration(ann: AnnotatedInstance, conflicts: ConflictAnalysis,
+def _final_enumeration(ann: AnnotatedInstance, conflicts: frozenset[Edge],
                        root: ConflictChecker) -> frozenset[Edge] | None:
     allowed = twin_reduce(ann, conflicts).candidates
     in_r = set(ann.r)
@@ -212,16 +212,16 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
     """Solve below ``ann``; ``pending`` holds its parent's conflict pairs,
     a superset of its own since ``ann.added`` holds the parent's edges."""
     stats.note_node(len(ann.r))
-    conflicts = root.analysis(ann.added, pending)
+    if ann.k == 0:
+        return None if next(root.violated(ann.added, pending), None) else frozenset()
+    conflicts = frozenset(root.violated(ann.added, pending))
     if not conflicts:
         return frozenset()
-    if ann.k == 0:
-        return None
     in_r = set(ann.r)
     f0 = f_value(0, ann.k, d)
     high = None
     for v in ann.r:
-        deg = sum(1 for u, w in conflicts.conflict_edges
+        deg = sum(1 for u, w in conflicts
                   for x, y in ((u, w), (w, u)) if x == v and y not in in_r)
         if deg > f0:
             high = v
@@ -232,8 +232,7 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
             return None
         for child in branch_blocking(ann, bs):
             stats.note_child(ann.k, child.k)
-            below = _solve_annotated(child, d, stats, root,
-                                     conflicts.conflict_edges)
+            below = _solve_annotated(child, d, stats, root, conflicts)
             if below is not None:
                 return (child.added - ann.added) | below
         return None
@@ -259,14 +258,14 @@ def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdi
     if stats is None:
         stats = BranchStats()
     stats.cover_bound = 5 * inst.k
-    # Every node's conflict analysis and the final enumeration at every
-    # leaf come from this one checker of G: a node adds at most k edges, so
-    # the kernel's closure over their endpoints replaces n Dijkstra runs.
+    # Every node's conflict pairs and the final enumeration at every leaf
+    # come from this one checker of G: a node adds at most k edges, so the
+    # kernel's closure over their endpoints replaces n Dijkstra runs.
     root = ConflictChecker(inst)
-    conflicts = root.analysis()
+    conflicts = frozenset(root.violated())
     if not conflicts:
         return Verdict.of(())
-    cgraph = Graph(inst.n, conflicts.conflict_edges)
+    cgraph = Graph(inst.n, conflicts)
     matching = greedy_maximal_matching(cgraph)
     if len(matching) > 2 * inst.k:
         return Verdict.no()
@@ -277,7 +276,7 @@ def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdi
         committed = frozenset(norm_edge(a, b) for a, b in ej)
         ann = AnnotatedInstance(base=inst, added=committed,
                                 k=inst.k - len(committed), r=r)
-        below = _solve_annotated(ann, d, stats, root, conflicts.conflict_edges)
+        below = _solve_annotated(ann, d, stats, root, conflicts)
         if below is not None:
             return Verdict.of(committed | below)
     return Verdict.no()

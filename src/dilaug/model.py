@@ -67,17 +67,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class ConflictAnalysis:
-    """The conflict graph: Gamma-adjacent pairs violating the stretch bound."""
-
-    conflict_edges: frozenset[Edge]
-    conflict_vertices: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.conflict_edges)
-
-
-@dataclass(frozen=True)
 class VerifyResult:
     ok: bool
     reason: str | None = None
@@ -141,15 +130,9 @@ def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
             yield u, v
 
 
-def _analysis(conflicts: Iterable[Edge]) -> ConflictAnalysis:
-    conflicts = frozenset(conflicts)
-    vertices = sorted({x for e in conflicts for x in e})
-    return ConflictAnalysis(conflicts, tuple(vertices))
-
-
-def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> ConflictAnalysis:
+def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> frozenset[Edge]:
     """All Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma."""
-    return _analysis(_violations(inst, normalize_solution(s, inst.n)))
+    return frozenset(_violations(inst, normalize_solution(s, inst.n)))
 
 
 def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
@@ -164,10 +147,11 @@ class ConflictChecker:
     the base conflict pairs, the Gamma edges above their ``inst.limit``
     there.  Adding edges only shortens distances, so no other pair can
     conflict once S is added, and a check of S + S' needs only the pairs
-    still pending for S.  ``violated`` finds the pairs S leaves in
-    conflict, exactly, through the distances among S's endpoints;
-    ``ellipse_masks`` gives the quick necessary condition a search tests
-    first.
+    still pending for S.  ``violated`` is the one query: it finds the
+    pairs S leaves in conflict, exactly, through the distances among S's
+    endpoints; a caller takes their ``frozenset``, or asks ``next`` for a
+    yes/no answer that stops at the first conflict.  ``ellipse_masks``
+    gives the quick necessary condition a search tests first.
     """
 
     def __init__(self, inst: Instance):
@@ -226,18 +210,6 @@ class ConflictChecker:
             if min(du[v], best) > limit[u, v]:
                 yield u, v
 
-    def is_free(self, s: Collection[Edge],
-                pairs: Iterable[Edge] | None = None) -> bool:
-        """Exact: is G + s adjacent-conflict-free?  ``pairs`` as in
-        ``violated``."""
-        return next(self.violated(s, pairs), None) is None
-
-    def analysis(self, s: Collection[Edge] = (),
-                 pairs: Iterable[Edge] | None = None) -> ConflictAnalysis:
-        """``adjacent_conflicts`` of G + s, from the kernel; ``pairs`` as
-        in ``violated``."""
-        return _analysis(self.violated(s, pairs))
-
 
 def dilation(inst: Instance, s: Iterable[Edge] = ()) -> Stretch | float:
     """Max over all pairs of d_{G+S}(u, v) / d_Gamma(u, v); inf if disconnected."""
@@ -263,13 +235,12 @@ def verify_solution(inst: Instance, s: Iterable[Edge]) -> VerifyResult:
     and vice versa.
     """
     s = normalize_solution(s, inst.n)
-    overlap = s & inst.g_edges
-    if overlap:
+    if s & inst.g_edges:
         return VerifyResult(False, "overlaps-G")
     if len(s) > inst.k:
         return VerifyResult(False, "budget-exceeded")
-    conflicts = adjacent_conflicts(inst, s)
-    if conflicts.conflict_edges:
-        u, v = min(conflicts.conflict_edges)
-        return VerifyResult(False, f"conflict({u},{v})")
+    # _violations yields in sorted order: the first conflict is the least.
+    conflict = next(_violations(inst, s), None)
+    if conflict is not None:
+        return VerifyResult(False, "conflict(%d,%d)" % conflict)
     return VerifyResult(True)

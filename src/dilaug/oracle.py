@@ -8,9 +8,13 @@ from dataclasses import dataclass
 
 from .graph import Edge
 from .model import Instance, is_conflict_free
-from .search import SearchBudgetExceeded, iter_subsets
+from .search import iter_subsets
 
 DEFAULT_CANDIDATE_CAP = 10**8
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """The candidate cap was hit before the enumeration finished."""
 
 
 @dataclass(frozen=True)

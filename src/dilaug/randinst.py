@@ -14,6 +14,9 @@ from .graph import Edge, Graph, find, norm_edge
 from .model import Instance, build_instance
 
 DEFAULT_TS = (Fraction(3, 2), Fraction(2), Fraction(3))
+# A wider set of stretches, non-integral ones included, for weighted corpora.
+STRETCHES = (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3),
+             Fraction(5, 2), Fraction(3))
 
 
 def random_connected_gamma(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
@@ -46,9 +49,12 @@ def random_forest_edges(rng: random.Random, n: int, p: float = 0.35) -> set[Edge
 
 def random_instance(rng: random.Random, n_max: int = 8, k_max: int = 2,
                     ts=DEFAULT_TS, forest_g: bool = False,
-                    tree_gamma: bool = False) -> Instance:
+                    tree_gamma: bool = False, max_weight: int = 1) -> Instance:
     n = rng.randint(2, n_max)
     gamma = random_tree(rng, n) if tree_gamma else random_connected_gamma(rng, n)
+    if max_weight > 1:  # Gamma weights from 1..max_weight; none drawn at 1
+        weights = {e: rng.randint(1, max_weight) for e in sorted(gamma.edges)}
+        gamma = Graph(n, gamma.edges, weights)
     if forest_g:
         g_edges = random_forest_edges(rng, n)
     else:

@@ -10,11 +10,7 @@ from itertools import combinations
 from typing import Collection, Iterator, Sequence
 
 from .graph import Edge
-from .model import ConflictAnalysis, ConflictChecker
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The candidate cap was hit before the enumeration finished."""
+from .model import ConflictChecker
 
 
 def iter_subsets(candidates: Sequence[Edge], max_size: int) -> Iterator[tuple[Edge, ...]]:
@@ -24,15 +20,15 @@ def iter_subsets(candidates: Sequence[Edge], max_size: int) -> Iterator[tuple[Ed
         yield from combinations(ordered, size)
 
 
-def first_conflict_free(checker: ConflictChecker, conflicts: ConflictAnalysis,
+def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
                         candidates: Sequence[Edge], k: int,
                         committed: Collection[Edge] = frozenset()
                         ) -> frozenset[Edge] | None:
     """First subset S of ``candidates`` (|S| <= k), in the canonical order,
     such that G + committed + S is conflict-free; None if there is none.
 
-    ``conflicts`` is the conflict analysis of G + committed.  Only its
-    pairs get an ellipse mask, and only they are checked for each S.
+    ``conflicts`` is the set of pairs in conflict in G + committed.  Only
+    they get an ellipse mask, and only they are checked for each S.
 
     A combination is checked exactly only if it hits every ellipse mask.
     Each prefix of size - 1 intersects the masks it misses; the last index
@@ -43,7 +39,7 @@ def first_conflict_free(checker: ConflictChecker, conflicts: ConflictAnalysis,
         return frozenset()
     ordered = sorted(candidates)
     base = sorted(committed)
-    pending = sorted(conflicts.conflict_edges)
+    pending = sorted(conflicts)
     masks = checker.ellipse_masks(ordered, pending)
     m = len(ordered)
     for size in range(1, k + 1):
@@ -63,7 +59,7 @@ def first_conflict_free(checker: ConflictChecker, conflicts: ConflictAnalysis,
                 low = tails & -tails
                 combo = prefix + (low.bit_length() - 1,)
                 s = [ordered[i] for i in combo]
-                if checker.is_free(base + s, pending):
+                if next(checker.violated(base + s, pending), None) is None:
                     return frozenset(s)
                 tails ^= low
     return None

@@ -1,8 +1,8 @@
 """Tree-metric polynomial engine and the two bounded-degree engines.
 
-The bounded-degree engines localize the search: conflict endpoints must
-lie near the conflict vertices, so enumeration can be restricted to a
-candidate region.  They are correct for any maximum degree, merely slow
+The bounded-degree engines localize the search: on unweighted Gamma,
+solution endpoints lie near the conflict vertices, so enumeration can be
+restricted to a candidate region.  They are correct for any maximum degree, merely slow
 when it is large.
 """
 
@@ -58,15 +58,17 @@ def _ball_size_bound(count: int, delta: int, radius: int) -> int:
 
 def _solve_bounded(inst: Instance, host: Graph, radius: int) -> Verdict:
     """Search the non-edges within ``radius`` hops of the conflict vertices
-    in ``host``; with an edgeless host the degree bound is vacuous, so the
-    region is every vertex."""
+    in ``host``.  When the host is edgeless (the degree bound is vacuous)
+    or Gamma is weighted (a fixing path may run many hops from the
+    conflicts), the region is every vertex and no ball-size bound applies:
+    the search is then brute's, in brute's order."""
     checker = ConflictChecker(inst)
-    conflicts = checker.analysis()
-    vc = conflicts.conflict_vertices
+    conflicts = frozenset(checker.violated())
     delta = host.max_degree()
-    if delta == 0:
+    if delta == 0 or not inst.gamma.is_unweighted():
         region = set(range(inst.n))
     else:
+        vc = {x for e in conflicts for x in e}
         if len(vc) > _ball_size_bound(2 * inst.k, delta, math.floor(inst.t)):
             return Verdict.no()
         region = set(ball(host, vc, radius))

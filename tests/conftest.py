@@ -13,9 +13,11 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from dilaug.graph import Graph, norm_edge
 from dilaug.model import Instance, build_instance
+from dilaug.randinst import STRETCHES
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -106,6 +108,26 @@ def enumerate_path_distance(g: Graph, source: int, target: int) -> float:
     return best[0]
 
 
+@st.composite
+def searches(draw, max_n=6):
+    """(instance, committed edges, candidate edges): weighted Gamma (weights
+    1-4), t from ``STRETCHES``, k = 3 and up to two committed non-edges."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    gamma_edges = sorted(set(tree) | set(extra))
+    weights = {e: draw(st.integers(min_value=1, max_value=4)) for e in gamma_edges}
+    g_edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    t = draw(st.sampled_from(STRETCHES))
+    inst = build_instance(Graph(n, gamma_edges, weights), g_edges, 3, t)
+    non_edges = inst.non_edges()
+    committed = draw(st.lists(st.sampled_from(non_edges), unique=True, max_size=2)
+                     if non_edges else st.just([]))
+    candidates = [e for e in non_edges if e not in committed]
+    return inst, frozenset(committed), candidates
+
+
 @pytest.fixture
 def triangle_gamma() -> Graph:
     return Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -122,3 +144,32 @@ def star_instance() -> Instance:
     """Gamma = K_{1,3} with center 0, G edgeless."""
     gamma = Graph(4, [(0, 1), (0, 2), (0, 3)])
     return build_instance(gamma, [], 2, Fraction(2))
+
+
+def far_bridge_instance(hops: int, bridge: int, w: int, far: int) -> Instance:
+    """A YES instance (t = 2, k = 1) that hop-ball localization misses.
+
+    Unit Gamma edges, all in G, form paths of ``hops`` edges u1-a, u2-a,
+    b-v1 and b-v2, and a path of ``bridge`` edges a-b.  Gamma also has
+    (a, b) of weight ``w`` and (u1, v1), (u2, v2) of weight ``far``, none
+    in G.  For the sizes used here both (u_i, v_i) conflict and the one
+    edge (a, b) fixes them, though a lies ``hops`` hops from every
+    conflict vertex.  Returns the instance; a = 0 and b = 1.
+    """
+    a, b, u1, u2, v1, v2 = range(6)
+    count = 6
+    path_edges = []
+
+    def path(x, y, length):
+        nonlocal count
+        inner = list(range(count, count + length - 1))
+        count += length - 1
+        stops = [x, *inner, y]
+        path_edges.extend(zip(stops, stops[1:]))
+
+    for x, y in ((u1, a), (u2, a), (b, v1), (b, v2)):
+        path(x, y, hops)
+    path(a, b, bridge)
+    weights = {(a, b): w, (u1, v1): far, (u2, v2): far}
+    gamma = Graph(count, path_edges + list(weights), weights)
+    return build_instance(gamma, path_edges, 1, Fraction(2))

@@ -5,8 +5,10 @@ import pytest
 
 from dilaug import oracle
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
-from dilaug.fileformat import ParseError, parse_rational
+from dilaug.fileformat import ParseError, parse_rational, serialize_instance
 from dilaug.oracle import Verdict
+
+from conftest import far_bridge_instance
 
 TRIANGLE = """\
 p dilaug 3 1 3/2
@@ -134,6 +136,19 @@ class TestSolve:
         assert cli("solve", "--input", str(path)) == (EXIT_YES, "YES\n")
         code, _ = cli("solve", "--engine", "tree", "--input", str(path))
         assert code == EXIT_USAGE
+
+    def test_auto_never_calls_brute(self, triangle_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto ran brute")
+        monkeypatch.setattr(oracle, "solve_min", refuse)
+        assert cli("solve", "--input", triangle_file) == (EXIT_YES, "YES\ns 1 3\n")
+
+    def test_auto_on_far_bridge_is_yes(self, tmp_path):
+        # The fixing edge 1-2 lies 8 hops from the conflicts; see
+        # far_bridge_instance.  auto used to print a wrong NO here.
+        path = tmp_path / "bridge.dilaug"
+        path.write_text(serialize_instance(far_bridge_instance(8, 6, 3, 10)))
+        assert cli("solve", "--input", str(path)) == (EXIT_YES, "YES\ns 1 2\n")
 
     def test_engine_agnostic_output(self, triangle_file):
         outs = set()

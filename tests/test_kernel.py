@@ -1,44 +1,24 @@
 """The shared conflict kernel against the naive per-subset check.
 
-Instances have weighted Gamma (weights 1-4), stretches other than the
-corpus defaults, and random committed edges, none of which
-``randinst.random_instance`` generates.  The kernel holds G alone; the
-committed edges reach it only through the sets it checks, and the pairs
-pending at a set through its conflict analysis.
+Instances come from conftest's ``searches``: weighted Gamma (weights
+1-4), t from ``randinst.STRETCHES`` and random committed edges.  The
+kernel holds G alone; the committed edges reach it only through the sets
+it checks, and the pairs pending at a set through the pairs passed to
+``violated``.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug.graph import INF, Graph
-from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
+from dilaug.graph import INF
+from dilaug.model import (ConflictChecker, adjacent_conflicts,
                           is_conflict_free, stretch_limit)
+from dilaug.randinst import STRETCHES
 from dilaug.search import first_conflict_free, iter_subsets
 
-STRETCHES = (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3),
-             Fraction(5, 2), Fraction(3))
-
-
-@st.composite
-def searches(draw, max_n=6):
-    """(instance, committed edges, candidate edges)."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    pairs = list(combinations(range(n), 2))
-    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
-    gamma_edges = sorted(set(tree) | set(extra))
-    weights = {e: draw(st.integers(min_value=1, max_value=4)) for e in gamma_edges}
-    g_edges = draw(st.lists(st.sampled_from(pairs), unique=True))
-    t = draw(st.sampled_from(STRETCHES))
-    inst = build_instance(Graph(n, gamma_edges, weights), g_edges, 3, t)
-    non_edges = inst.non_edges()
-    committed = draw(st.lists(st.sampled_from(non_edges), unique=True, max_size=2)
-                     if non_edges else st.just([]))
-    candidates = [e for e in non_edges if e not in committed]
-    return inst, frozenset(committed), candidates
+from conftest import searches
 
 
 def naive_first(inst, candidates, k, committed):
@@ -68,8 +48,9 @@ def test_checker_agrees_with_is_conflict_free(case):
     checker = ConflictChecker(inst)
     for s in iter_subsets(candidates, 3):
         full = sorted(committed) + list(s)
-        assert checker.is_free(full) == is_conflict_free(inst, full)
-        assert checker.analysis(full) == adjacent_conflicts(inst, full)
+        free = next(checker.violated(full), None) is None
+        assert free == is_conflict_free(inst, full)
+        assert frozenset(checker.violated(full)) == adjacent_conflicts(inst, full)
 
 
 @settings(max_examples=80, deadline=None)
@@ -80,10 +61,11 @@ def test_pending_pairs_of_a_subset_give_the_same_analysis(case):
     inst, committed, candidates = case
     checker = ConflictChecker(inst)
     base = sorted(committed)
-    pending = checker.analysis(base).conflict_edges
+    pending = frozenset(checker.violated(base))
     for s in iter_subsets(candidates, 3):
         bigger = base + list(s)
-        assert checker.analysis(bigger, pending) == checker.analysis(bigger)
+        assert (frozenset(checker.violated(bigger, pending))
+                == frozenset(checker.violated(bigger)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -104,6 +86,6 @@ def test_ellipse_filter_never_rejects_a_solution(case):
 def test_first_conflict_free_matches_naive_loop(case, k):
     inst, committed, candidates = case
     checker = ConflictChecker(inst)
-    conflicts = checker.analysis(sorted(committed))
+    conflicts = frozenset(checker.violated(sorted(committed)))
     assert (first_conflict_free(checker, conflicts, candidates, k, committed)
             == naive_first(inst, candidates, k, committed))

@@ -3,15 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilaug.graph import Graph
-from dilaug.model import (InstanceError, MetricUndefinedError,
+from dilaug.model import (InstanceError, MetricUndefinedError, VerifyResult,
                           adjacent_conflicts, build_instance, dilation,
                           is_conflict_free, normalize_solution, stretch_limit,
                           verify_solution)
 from dilaug.randinst import random_instance, random_solution
 
-from conftest import all_pairs_within_stretch, embedded_apsp
+from conftest import all_pairs_within_stretch, embedded_apsp, searches
 
 
 class TestBuildInstance:
@@ -75,10 +77,7 @@ class TestStretchLimit:
 class TestConflicts:
     def test_triangle_path_conflict(self, triangle_path_instance):
         # d_G(0, 2) = 2 > (3/2) * 1
-        conf = adjacent_conflicts(triangle_path_instance)
-        assert conf.conflict_edges == frozenset({(0, 2)})
-        assert conf.conflict_vertices == (0, 2)
-        assert bool(conf)
+        assert adjacent_conflicts(triangle_path_instance) == frozenset({(0, 2)})
 
     def test_triangle_path_no_conflict_at_two(self, triangle_gamma):
         inst = build_instance(triangle_gamma, [(0, 1), (1, 2)], 1, 2)
@@ -89,8 +88,7 @@ class TestConflicts:
         assert not adjacent_conflicts(triangle_path_instance, [(0, 2)])
 
     def test_star_all_edges_conflict(self, star_instance):
-        conf = adjacent_conflicts(star_instance)
-        assert conf.conflict_edges == star_instance.gamma.edges
+        assert adjacent_conflicts(star_instance) == star_instance.gamma.edges
 
     def test_adjacent_check_agrees_with_full_apsp(self):
         # The adjacent-pairs test is equivalent to checking every pair.
@@ -164,6 +162,21 @@ class TestVerify:
     def test_conflict_reports_smallest_pair(self, star_instance):
         res = verify_solution(star_instance, [])
         assert not res.ok and res.reason == "conflict(0,1)"
+
+    @settings(max_examples=150, deadline=None)
+    @given(searches(), st.integers(min_value=0))
+    def test_conflict_reported_is_the_least(self, case, pick):
+        # The star's pairs all share vertex 0, so it cannot tell the least
+        # pair from another; these pairs need not share an endpoint.
+        inst, committed, candidates = case
+        extra = [candidates[pick % len(candidates)]] if candidates else []
+        s = committed.union(extra)  # within the budget of 3, disjoint from G
+        conflicts = adjacent_conflicts(inst, s)
+        res = verify_solution(inst, s)
+        if conflicts:
+            assert res == VerifyResult(False, "conflict(%d,%d)" % min(conflicts))
+        else:
+            assert res.ok
 
     def test_empty_solution_on_conflict_free(self, triangle_gamma):
         inst = build_instance(triangle_gamma, triangle_gamma.edges, 0, 1)

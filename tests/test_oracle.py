@@ -6,9 +6,9 @@ import pytest
 
 from dilaug.graph import Graph, norm_edge
 from dilaug.model import ConflictChecker, build_instance, verify_solution
-from dilaug.oracle import Verdict, solve_min
+from dilaug.oracle import SearchBudgetExceeded, Verdict, solve_min
 from dilaug.randinst import random_instance
-from dilaug.search import SearchBudgetExceeded, first_conflict_free, iter_subsets
+from dilaug.search import first_conflict_free, iter_subsets
 
 
 class TestIterSubsets:
@@ -97,12 +97,13 @@ class TestFirstConflictFree:
     def test_committed_edges_count_toward_result(self, star_instance):
         # The committed edge fixes the pair (0, 1) but is not returned.
         checker = ConflictChecker(star_instance)
-        sol = first_conflict_free(checker, checker.analysis([(0, 1)]),
+        sol = first_conflict_free(checker, frozenset(checker.violated([(0, 1)])),
                                   [(0, 2), (0, 3)], 2, {(0, 1)})
         assert sol == frozenset({(0, 2), (0, 3)})
-        assert first_conflict_free(checker, checker.analysis(),
+        assert first_conflict_free(checker, frozenset(checker.violated()),
                                    [(0, 2), (0, 3)], 2) is None
 
     def test_none_when_unsatisfiable(self, star_instance):
         checker = ConflictChecker(star_instance)
-        assert first_conflict_free(checker, checker.analysis(), [(1, 2)], 1) is None
+        conflicts = frozenset(checker.violated())
+        assert first_conflict_free(checker, conflicts, [(1, 2)], 1) is None

@@ -10,6 +10,8 @@ from dilaug.randinst import random_instance
 from dilaug.structured import (EngineInapplicable, solve_bounded_g,
                                solve_bounded_gamma, solve_tree_gamma)
 
+from conftest import far_bridge_instance
+
 
 class TestTreeEngine:
     def test_path_needs_both_edges(self):
@@ -93,6 +95,20 @@ class TestBoundedEngines:
                     assert verify_solution(inst, got.solution).ok
 
 
+class TestWeightedGamma:
+    # On weighted Gamma a fixing edge can lie far from every conflict
+    # vertex: a is 3 hops from them, beyond the Gamma ball of radius
+    # floor(t) = 2, then 8 hops, beyond the G ball of radius 4 too.
+    @pytest.mark.parametrize("sizes", [(3, 4, 2, 4), (8, 6, 3, 10)])
+    def test_far_bridge_matches_oracle(self, sizes):
+        inst = far_bridge_instance(*sizes)
+        assert adjacent_conflicts(inst) == {(2, 4), (3, 5)}
+        expected = solve_min(inst)
+        assert expected.solution == frozenset({(0, 1)})
+        for engine in (solve_bounded_gamma, solve_bounded_g):
+            assert engine(inst) == expected
+
+
 class TestLocality:
     def test_minimal_solutions_live_near_conflicts(self):
         # Endpoints of a minimum solution stay within floor(t) Gamma-hops
@@ -109,7 +125,7 @@ class TestLocality:
             if not verdict.yes or not verdict.solution:
                 continue
             seen += 1
-            vc = list(conflicts.conflict_vertices)
+            vc = sorted({x for e in conflicts for x in e})
             vs = sorted({x for e in verdict.solution for x in e})
             t_floor = inst.t.numerator // inst.t.denominator
             assert set(vs) <= set(ball(inst.gamma, vc, t_floor))
