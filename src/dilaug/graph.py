@@ -26,8 +26,13 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int) -> list[float]:
-    """Distances from ``source`` over a weighted adjacency list."""
+def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
+             stop: float = INF) -> list[float]:
+    """Distances from ``source`` over a weighted adjacency list.
+
+    The run settles only the vertices within distance ``stop``: every
+    distance above ``stop`` is left INF.
+    """
     dist: list[float] = [INF] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
@@ -37,7 +42,7 @@ def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int) -> list[floa
             continue
         for v, wt in adj[u]:
             nd = du + wt
-            if nd < dist[v]:
+            if nd < dist[v] and nd <= stop:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
@@ -129,10 +134,11 @@ class Graph:
                     queue.append(v)
         return dist
 
-    def weighted_distances(self, source: int) -> list[float]:
-        """Dijkstra distances from ``source`` under edge weights."""
+    def weighted_distances(self, source: int, stop: float = INF) -> list[float]:
+        """Dijkstra distances from ``source`` under edge weights; those
+        above ``stop`` are left INF."""
         self._check_source(source)
-        return dijkstra(self._adj, source)
+        return dijkstra(self._adj, source, stop)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

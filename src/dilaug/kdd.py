@@ -181,15 +181,15 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: frozenset[Edge]) -> ReducedSe
     """
     vc = {x for e in conflicts for x in e}
     g_cur = ann.g_edges
-    dist = ann.base.dist_gamma
+    gamma = ann.base.gamma
     classes: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
     for v in range(ann.base.n):
         if v in vc:
             continue
-        a = frozenset(u for u in vc
-                      if norm_edge(u, v) in g_cur and dist[u][v] == 1)
-        b = frozenset(u for u in vc
-                      if norm_edge(u, v) not in g_cur and dist[u][v] == 1)
+        # kdd refuses weighted Gamma, so d_Gamma(u, v) = 1 means adjacency.
+        near = vc.intersection(gamma.neighbors(v))
+        a = frozenset(u for u in near if norm_edge(u, v) in g_cur)
+        b = frozenset(near - a)
         classes.setdefault((a, b), []).append(v)
     reps = tuple(sorted(min(members) for members in classes.values()))
     return ReducedSearch(candidates=tuple(sorted(vc | set(reps))),

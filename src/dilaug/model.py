@@ -4,14 +4,19 @@ Houses instances, conflict detection, dilation and solution verification.
 Every distance in G + S is an integer or INF, so t enters every stretch
 comparison as one integer limit per Gamma edge (``stretch_limit``);
 floating point never touches a threshold decision.
+
+The metric is lazy: an instance computes d_Gamma only for the pairs it is
+asked about, with Dijkstra runs that stop early, until a reader asks for
+the whole table (``Instance.dist_gamma``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from operator import add
+from functools import cached_property
+from itertools import chain, groupby
+from operator import add, itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .graph import INF, Edge, Graph, dijkstra, norm_edge
@@ -32,23 +37,58 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable (G, Gamma, k, t) instance with the metric precomputed.
+    """An immutable (G, Gamma, k, t) instance over Gamma's lazy metric.
 
-    ``dist_gamma[u][v]`` is the Gamma shortest-path distance; every G edge
-    (u, v) is embedded with weight ``dist_gamma[u][v]``.  ``limit[u, v]``
-    is the ``stretch_limit`` of each Gamma edge (u, v), u < v.
+    Every G edge (u, v) is embedded with weight d_Gamma(u, v).
+    ``d_gamma`` gives one distance, ``dist_gamma`` the whole table, and
+    ``limit[u, v]`` the ``stretch_limit`` of each Gamma edge (u, v), u < v.
     """
 
     gamma: Graph
     g_edges: frozenset[Edge]
     k: int
     t: Stretch
-    dist_gamma: tuple[tuple[int, ...], ...]
-    limit: dict[Edge, int] = field(compare=False, repr=False)
+    # Source u -> a Dijkstra row from u over Gamma, INF past its stop.
+    _rows: dict[int, list[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.gamma.n
+
+    @cached_property
+    def dist_gamma(self) -> tuple[tuple[int, ...], ...]:
+        """The full table ``dist_gamma[u][v]`` of d_Gamma, built on first
+        read: BFS rows on unweighted Gamma, Dijkstra rows otherwise."""
+        gamma = self.gamma
+        measure = gamma.hop_distances if gamma.is_unweighted() else gamma.weighted_distances
+        return tuple(tuple(measure(u)) for u in range(self.n))
+
+    def d_gamma(self, u: int, v: int) -> int:
+        """d_Gamma(u, v), read from ``dist_gamma`` once that is built.
+
+        Otherwise it comes from a memoised Dijkstra run from min(u, v).  A
+        Gamma edge bounds its own distance, so the first run from a source
+        stops past the heaviest Gamma edge there; only a pair beyond that,
+        a G chord, needs a run that reaches its target.
+        """
+        table = self.__dict__.get("dist_gamma")
+        if table is not None:
+            return table[u][v]
+        u, v = norm_edge(u, v)
+        row = self._rows.get(u)
+        if row is None or row[v] == INF:
+            gamma = self.gamma
+            stop = INF
+            if row is None and (u, v) in gamma.edges:
+                stop = max(gamma.edge_weight(u, x) for x in gamma.neighbors(u) if x > u)
+            row = self._rows[u] = gamma.weighted_distances(u, stop)
+        return row[v]
+
+    @cached_property
+    def limit(self) -> dict[Edge, int]:
+        return {(u, v): stretch_limit(self.d_gamma(u, v), self.t)
+                for u, v in self.gamma.edges}
 
     def non_edges(self) -> list[Edge]:
         """Non-edges of G in lexicographic order (candidate solution edges)."""
@@ -60,7 +100,7 @@ class Instance:
         """Weighted adjacency of G + extra, edge weights taken from the metric."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v in chain(self.g_edges, extra):
-            w = self.dist_gamma[u][v]
+            w = self.d_gamma(u, v)
             adj[u].append((v, w))
             adj[v].append((u, w))
         return adj
@@ -88,7 +128,7 @@ def normalize_solution(edges: Iterable[Edge], n: int) -> frozenset[Edge]:
 
 def build_instance(gamma: Graph, g_edges: Iterable[Edge], k: int,
                    t: Stretch | int) -> Instance:
-    """Validate and assemble an instance; fills the n x n metric table."""
+    """Validate and assemble an instance; computes no distances."""
     t = Fraction(t)
     if k < 0:
         raise InstanceError("budget k must be nonnegative")
@@ -99,15 +139,9 @@ def build_instance(gamma: Graph, g_edges: Iterable[Edge], k: int,
         if e in seen:
             raise InstanceError(f"duplicate G edge {e}")
         seen.add(e)
-    dist = []
-    for source in range(gamma.n):
-        row = gamma.weighted_distances(source)
-        if INF in row:
-            raise MetricUndefinedError()
-        dist.append(tuple(row))
-    limit = {(u, v): stretch_limit(dist[u][v], t) for u, v in gamma.edges}
-    return Instance(gamma=gamma, g_edges=frozenset(seen), k=k, t=t,
-                    dist_gamma=tuple(dist), limit=limit)
+    if not gamma.is_connected():
+        raise MetricUndefinedError()
+    return Instance(gamma=gamma, g_edges=frozenset(seen), k=k, t=t)
 
 
 def stretch_limit(d_gamma: int, t: Stretch) -> int:
@@ -118,16 +152,24 @@ def stretch_limit(d_gamma: int, t: Stretch) -> int:
 
 def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
     """The Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma,
-    lazily and in order; one Dijkstra run per distinct first endpoint."""
+    lazily and in order.
+
+    A pair that is itself an edge of G + S is within its limit.  The
+    others get one Dijkstra run per distinct first endpoint u, which stops
+    past u's largest limit: a vertex it leaves unsettled is beyond every
+    limit of u.
+    """
+    s = frozenset(s)
     adj = inst.g_adjacency(s)
     limit = inst.limit
-    rows: dict[int, list[float]] = {}
-    for u, v in sorted(inst.gamma.edges):
-        row = rows.get(u)
-        if row is None:
-            row = rows[u] = dijkstra(adj, u)
-        if row[v] > limit[u, v]:
-            yield u, v
+    present = inst.g_edges | s
+    open_pairs = [e for e in sorted(inst.gamma.edges) if e not in present]
+    for u, pairs in groupby(open_pairs, key=itemgetter(0)):
+        pairs = list(pairs)
+        row = dijkstra(adj, u, max(limit[p] for p in pairs))
+        for p in pairs:
+            if row[p[1]] > limit[p]:
+                yield p
 
 
 def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> frozenset[Edge]:
@@ -156,6 +198,9 @@ class ConflictChecker:
 
     def __init__(self, inst: Instance):
         self.inst = inst
+        # The ellipse masks need whole rows of d_Gamma: build the table
+        # before any pair is read, so the pairs come from it too.
+        self.dg = inst.dist_gamma
         adj = inst.g_adjacency()
         self.dist = [dijkstra(adj, u) for u in range(inst.n)]
         self.pairs = [(u, v) for u, v in sorted(inst.gamma.edges)
@@ -169,7 +214,7 @@ class ConflictChecker:
         with d = d_Gamma.  Every edge weighs its d_Gamma, so by the triangle
         inequality a set S that fixes (u, v) contains such a candidate.
         """
-        dg = self.inst.dist_gamma
+        dg = self.dg
         masks = []
         for u, v in pairs:
             du, dv, limit = dg[u], dg[v], self.inst.limit[u, v]
@@ -191,7 +236,7 @@ class ConflictChecker:
         edge at a time; then d(u, v) = min(D[u][v], D[u][x] + C[x][y] +
         D[y][v]) over x, y in T.
         """
-        dist, dg = self.dist, self.inst.dist_gamma
+        dist, dg = self.dist, self.dg
         terms = sorted({x for e in s for x in e})
         at = {x: i for i, x in enumerate(terms)}
         close = [[dist[x][y] for y in terms] for x in terms]

@@ -109,15 +109,17 @@ def enumerate_path_distance(g: Graph, source: int, target: int) -> float:
 
 
 @st.composite
-def searches(draw, max_n=6):
+def searches(draw, max_n=6, max_weight=4):
     """(instance, committed edges, candidate edges): weighted Gamma (weights
-    1-4), t from ``STRETCHES``, k = 3 and up to two committed non-edges."""
+    1 to ``max_weight``), G with non-Gamma chords, t from ``STRETCHES``,
+    k = 3 and up to two committed non-edges."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     pairs = list(combinations(range(n), 2))
     tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
     gamma_edges = sorted(set(tree) | set(extra))
-    weights = {e: draw(st.integers(min_value=1, max_value=4)) for e in gamma_edges}
+    weights = {e: draw(st.integers(min_value=1, max_value=max_weight))
+               for e in gamma_edges}
     g_edges = draw(st.lists(st.sampled_from(pairs), unique=True))
     t = draw(st.sampled_from(STRETCHES))
     inst = build_instance(Graph(n, gamma_edges, weights), g_edges, 3, t)

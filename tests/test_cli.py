@@ -1,12 +1,18 @@
 import functools
 import io
+import random
+from fractions import Fraction
 
 import pytest
 
-from dilaug import oracle
+from dilaug import fileformat, oracle
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
-from dilaug.fileformat import ParseError, parse_rational, serialize_instance
+from dilaug.fileformat import (ParseError, parse_rational, serialize_instance,
+                               serialize_solution)
+from dilaug.graph import Graph, norm_edge
+from dilaug.model import adjacent_conflicts, build_instance
 from dilaug.oracle import Verdict
+from dilaug.randinst import random_connected_gamma
 
 from conftest import far_bridge_instance
 
@@ -204,6 +210,38 @@ class TestVerify:
                          "--solution", str(sol))
         assert code == EXIT_NO
         assert text.startswith("invalid conflict")
+
+    def test_large_weighted_verify_builds_no_full_table(self, tmp_path, monkeypatch):
+        # verify reads d_Gamma only for the pairs it needs; the n x n table
+        # (n Dijkstra runs) must stay unbuilt.  S is G's conflict set as
+        # the table gives it, so G + S is valid and every other Gamma
+        # pair is scanned.
+        rng = random.Random(500)
+        n = 500
+        gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
+        gamma = Graph(n, gamma_edges, {e: rng.randint(1, 10) for e in gamma_edges})
+        dropped = rng.sample(gamma_edges, len(gamma_edges) // 3)
+        chords = {norm_edge(*rng.sample(range(n), 2)) for _ in range(n // 10)}
+        g_edges = (set(gamma_edges) - set(dropped)) | (chords - gamma.edges)
+        table_built = build_instance(gamma, g_edges, len(dropped), Fraction(3, 2))
+        assert table_built.dist_gamma
+        s = adjacent_conflicts(table_built)
+        assert s
+
+        built = []
+
+        def keep(*args):
+            built.append(build_instance(*args))
+            return built[-1]
+
+        monkeypatch.setattr(fileformat, "build_instance", keep)
+        inst_file, sol_file = tmp_path / "big.dilaug", tmp_path / "big.sol"
+        inst_file.write_text(serialize_instance(table_built))
+        sol_file.write_text(serialize_solution(s))
+        code, text = cli("verify", "--input", str(inst_file), "--solution", str(sol_file))
+        assert (code, text) == (EXIT_YES, "valid\n")
+        [inst] = built
+        assert "dist_gamma" not in inst.__dict__
 
 
 class TestGen:

@@ -94,6 +94,16 @@ class TestDistances:
             assert g.weighted_distances(0)[v] == enumerate_path_distance(g, 0, v)
 
     @settings(max_examples=60, deadline=None)
+    @given(small_graphs(weighted=True), st.integers(min_value=0, max_value=12))
+    def test_early_stop_is_exact_within_stop(self, g, stop):
+        # Every vertex within ``stop`` is settled exactly; every other one
+        # is left INF, so it is beyond the stop.
+        for source in range(g.n):
+            full = g.weighted_distances(source)
+            assert g.weighted_distances(source, stop) == [
+                d if d <= stop else math.inf for d in full]
+
+    @settings(max_examples=60, deadline=None)
     @given(small_graphs())
     def test_unweighted_dijkstra_equals_bfs(self, g):
         for source in range(g.n):

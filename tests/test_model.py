@@ -61,6 +61,33 @@ class TestBuildInstance:
             normalize_solution([(0, 3)], 3)
 
 
+class TestLazyMetric:
+    @settings(max_examples=150, deadline=None)
+    @given(searches(max_n=9, max_weight=10), st.integers(min_value=0))
+    def test_lazy_reads_equal_the_full_table(self, case, pick):
+        inst, committed, candidates = case
+        s = committed.union([candidates[pick % len(candidates)]] if candidates else [])
+
+        def fresh():
+            return build_instance(inst.gamma, inst.g_edges, inst.k, inst.t)
+
+        table = fresh().dist_gamma
+        limit = {(u, v): stretch_limit(table[u][v], inst.t) for u, v in inst.gamma.edges}
+        weights = sorted((u, v, table[u][v]) for u, v in inst.g_edges | s)
+        dist = embedded_apsp(fresh(), s)  # networkx over the table's weights
+        conflicts = {e for e, lim in limit.items() if dist[e] > lim}
+        expected = (VerifyResult(False, "conflict(%d,%d)" % min(conflicts))
+                    if conflicts else VerifyResult(True))
+
+        lazy = [fresh() for _ in range(4)]
+        assert lazy[0].limit == limit
+        assert sorted((u, v, w) for u, row in enumerate(lazy[1].g_adjacency(s))
+                      for v, w in row if u < v) == weights
+        assert verify_solution(lazy[2], s) == expected
+        assert adjacent_conflicts(lazy[3], s) == conflicts
+        assert all("dist_gamma" not in each.__dict__ for each in lazy)
+
+
 class TestStretchLimit:
     def test_exact_boundary(self):
         assert 3 <= stretch_limit(2, Fraction(3, 2))
