@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Sequence
 
 INF = math.inf
@@ -186,6 +186,11 @@ def ball(g: Graph, w: Sequence[int], radius: int) -> list[int]:
                 seen[v] = du + 1
                 queue.append(v)
     return sorted(seen)
+
+
+def max_degree(edges: Iterable[Edge]) -> int:
+    """The maximum degree of the graph with edge set ``edges``."""
+    return max(Counter(x for e in edges for x in e).values(), default=0)
 
 
 def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:

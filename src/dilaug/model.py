@@ -5,19 +5,19 @@ Every distance in G + S is an integer or INF, so t enters every stretch
 comparison as one integer limit per Gamma edge (``stretch_limit``);
 floating point never touches a threshold decision.
 
-The metric is lazy: an instance computes d_Gamma only for the pairs it is
-asked about, with Dijkstra runs that stop early, until a reader asks for
-the whole table (``Instance.dist_gamma``).
+The metric is lazy: an instance computes d_Gamma only for the pairs and
+rows it is asked about, with Dijkstra runs that stop early for a pair,
+until a reader asks for the whole table (``Instance.dist_gamma``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, groupby
+from functools import cached_property, partial
+from itertools import chain, combinations, groupby
 from operator import add, itemgetter
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .graph import INF, Edge, Graph, dijkstra, norm_edge
 
@@ -35,13 +35,26 @@ class InstanceError(ValueError):
     """Malformed instance data (bad G edges, negative budget, t < 1)."""
 
 
+class _Rows(dict):
+    """Source -> a full distance row from it, computed on first read; a
+    hit runs no Python code."""
+
+    def __init__(self, measure: Callable[[int], list[float]]):
+        self.measure = measure
+
+    def __missing__(self, source: int) -> list[float]:
+        row = self[source] = self.measure(source)
+        return row
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable (G, Gamma, k, t) instance over Gamma's lazy metric.
 
     Every G edge (u, v) is embedded with weight d_Gamma(u, v).
-    ``d_gamma`` gives one distance, ``dist_gamma`` the whole table, and
-    ``limit[u, v]`` the ``stretch_limit`` of each Gamma edge (u, v), u < v.
+    ``d_gamma`` gives one distance, ``gamma_rows[u]`` the row from u,
+    ``dist_gamma`` the table, and ``limit[u, v]`` the ``stretch_limit`` of
+    each Gamma edge (u, v), u < v.
     """
 
     gamma: Graph
@@ -57,33 +70,36 @@ class Instance:
         return self.gamma.n
 
     @cached_property
-    def dist_gamma(self) -> tuple[tuple[int, ...], ...]:
-        """The full table ``dist_gamma[u][v]`` of d_Gamma, built on first
-        read: BFS rows on unweighted Gamma, Dijkstra rows otherwise."""
+    def gamma_rows(self) -> dict[int, list[float]]:
+        """Full rows of d_Gamma by source, each computed on first read: BFS
+        on unweighted Gamma, Dijkstra otherwise."""
         gamma = self.gamma
-        measure = gamma.hop_distances if gamma.is_unweighted() else gamma.weighted_distances
-        return tuple(tuple(measure(u)) for u in range(self.n))
+        return _Rows(gamma.hop_distances if gamma.is_unweighted() else gamma.weighted_distances)
+
+    @cached_property
+    def dist_gamma(self) -> tuple[tuple[int, ...], ...]:
+        """The table of d_Gamma, built from ``gamma_rows`` on first read."""
+        rows = self.gamma_rows
+        return tuple(tuple(rows[u]) for u in range(self.n))
 
     def d_gamma(self, u: int, v: int) -> int:
-        """d_Gamma(u, v), read from ``dist_gamma`` once that is built.
+        """d_Gamma(u, v), from the full row of min(u, v) if there is one.
 
-        Otherwise it comes from a memoised Dijkstra run from min(u, v).  A
-        Gamma edge bounds its own distance, so the first run from a source
-        stops past the heaviest Gamma edge there; only a pair beyond that,
-        a G chord, needs a run that reaches its target.
+        Else a Gamma edge of weight <= 2 is a shortest path, as any other
+        has two edges of weight >= 1.  A heavier one reads a memoised
+        Dijkstra run from min(u, v) that stops past the heaviest Gamma edge
+        there; only a pair beyond that, a G chord, needs a full row.
         """
-        table = self.__dict__.get("dist_gamma")
-        if table is not None:
-            return table[u][v]
         u, v = norm_edge(u, v)
-        row = self._rows.get(u)
-        if row is None or row[v] == INF:
-            gamma = self.gamma
-            stop = INF
-            if row is None and (u, v) in gamma.edges:
-                stop = max(gamma.edge_weight(u, x) for x in gamma.neighbors(u) if x > u)
+        gamma, full = self.gamma, self.gamma_rows
+        row = full.get(u, self._rows.get(u))
+        if row is None and (u, v) in gamma.edges:
+            w = gamma.edge_weight(u, v)
+            if w <= 2:
+                return w
+            stop = max(gamma.edge_weight(u, x) for x in gamma.neighbors(u) if x > u)
             row = self._rows[u] = gamma.weighted_distances(u, stop)
-        return row[v]
+        return row[v] if row is not None and row[v] != INF else full[u][v]
 
     @cached_property
     def limit(self) -> dict[Edge, int]:
@@ -185,26 +201,26 @@ def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
 class ConflictChecker:
     """Conflict checks of G + S for many small sets S.
 
-    Built once per engine call: it holds the all-pairs distances D of G and
-    the base conflict pairs, the Gamma edges above their ``inst.limit``
-    there.  Adding edges only shortens distances, so no other pair can
-    conflict once S is added, and a check of S + S' needs only the pairs
-    still pending for S.  ``violated`` is the one query: it finds the
-    pairs S leaves in conflict, exactly, through the distances among S's
-    endpoints; a caller takes their ``frozenset``, or asks ``next`` for a
-    yes/no answer that stops at the first conflict.  ``ellipse_masks``
-    gives the quick necessary condition a search tests first.
+    Built once per engine call, it computes no row of distances in G
+    (``dist``) or Gamma (``inst.gamma_rows``) before its first read.  The
+    base conflict pairs are the open Gamma edges (not in G) above their
+    ``inst.limit`` in G.  Adding edges only shortens distances, so no
+    other pair can conflict once S is added, and a check of S + S' needs
+    only the pairs still pending for S.  ``violated`` is the one query: it
+    finds the pairs S leaves in conflict, exactly, through the distances
+    among S's endpoints; a caller takes their ``frozenset``, or asks
+    ``next`` for a yes/no answer that stops at the first conflict.
+    ``ellipse_masks`` gives the quick necessary condition a search tests
+    first, and ``ellipse_union`` the candidates that can pass it.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        # The ellipse masks need whole rows of d_Gamma: build the table
-        # before any pair is read, so the pairs come from it too.
-        self.dg = inst.dist_gamma
-        adj = inst.g_adjacency()
-        self.dist = [dijkstra(adj, u) for u in range(inst.n)]
+        self.dg = inst.gamma_rows
+        self.dist = _Rows(partial(dijkstra, inst.g_adjacency()))
+        limit, present = inst.limit, inst.g_edges
         self.pairs = [(u, v) for u, v in sorted(inst.gamma.edges)
-                      if self.dist[u][v] > inst.limit[u, v]]
+                      if (u, v) not in present and self.dist[u][v] > limit[u, v]]
 
     def ellipse_masks(self, candidates: Sequence[Edge],
                       pairs: Iterable[Edge]) -> list[int]:
@@ -215,15 +231,31 @@ class ConflictChecker:
         inequality a set S that fixes (u, v) contains such a candidate.
         """
         dg = self.dg
+        weighted = [(a, b, dg[a][b]) for a, b in candidates]
         masks = []
         for u, v in pairs:
             du, dv, limit = dg[u], dg[v], self.inst.limit[u, v]
             mask = 0
-            for i, (a, b) in enumerate(candidates):
-                if min(du[a] + dv[b], du[b] + dv[a]) + dg[a][b] <= limit:
+            for i, (a, b, w) in enumerate(weighted):
+                if min(du[a] + dv[b], du[b] + dv[a]) + w <= limit:
                     mask |= 1 << i
             masks.append(mask)
         return masks
+
+    def ellipse_union(self, pairs: Iterable[Edge]) -> list[Edge]:
+        """The non-edges of G in the ellipse of some pair of ``pairs``,
+        sorted.  Both ends of an ellipse edge lie in the pair's vertex
+        ellipse d(u, a) + d(a, v) <= t * d(u, v): only pairs inside it are
+        tested."""
+        dg, present, n = self.dg, self.inst.g_edges, self.inst.n
+        union: set[Edge] = set()
+        for u, v in pairs:
+            du, dv, limit = dg[u], dg[v], self.inst.limit[u, v]
+            inside = [a for a in range(n) if du[a] + dv[a] <= limit]
+            near = [e for e in combinations(inside, 2) if e not in present]
+            [mask] = self.ellipse_masks(near, [(u, v)])
+            union.update(e for i, e in enumerate(near) if mask >> i & 1)
+        return sorted(union)
 
     def violated(self, s: Collection[Edge] = (),
                  pairs: Iterable[Edge] | None = None) -> Iterator[Edge]:
@@ -239,7 +271,7 @@ class ConflictChecker:
         dist, dg = self.dist, self.dg
         terms = sorted({x for e in s for x in e})
         at = {x: i for i, x in enumerate(terms)}
-        close = [[dist[x][y] for y in terms] for x in terms]
+        close = [[row[y] for y in terms] for row in [dist[x] for x in terms]]
         for a, b in s:
             ia, ib, w = at[a], at[b], dg[a][b]
             row_a, row_b = close[ia], close[ib]

@@ -1,16 +1,18 @@
 """Tree-metric polynomial engine and the two bounded-degree engines.
 
-The bounded-degree engines localize the search: on unweighted Gamma,
-solution endpoints lie near the conflict vertices, so enumeration can be
-restricted to a candidate region.  They are correct for any maximum degree, merely slow
-when it is large.
+The bounded-degree engines localize the search: a minimum solution uses
+only edges in the metric ellipse of some conflict pair, so enumeration is
+restricted to the union of those ellipses, on weighted Gamma too.  On
+unweighted Gamma that union lies within floor(t) hops of the conflict
+vertices, which bounds their number by the host's maximum degree.  The
+engines are correct for any maximum degree, merely slow when it is large.
 """
 
 from __future__ import annotations
 
 import math
 
-from .graph import Graph, ball
+from .graph import max_degree
 from .model import ConflictChecker, Instance
 from .oracle import Verdict
 from .search import first_conflict_free
@@ -56,37 +58,28 @@ def _ball_size_bound(count: int, delta: int, radius: int) -> int:
     return count * sum(delta ** i for i in range(radius + 1))
 
 
-def _solve_bounded(inst: Instance, host: Graph, radius: int) -> Verdict:
-    """Search the non-edges within ``radius`` hops of the conflict vertices
-    in ``host``.  When the host is edgeless (the degree bound is vacuous)
-    or Gamma is weighted (a fixing path may run many hops from the
-    conflicts), the region is every vertex and no ball-size bound applies:
-    the search is then brute's, in brute's order."""
+def _solve_bounded(inst: Instance, delta: int) -> Verdict:
+    """Search the ellipse union of the conflicts in brute's order: an edge
+    of a solution S in no ellipse fixes no conflict, so a minimum S lies
+    in the union, and a YES is brute's certificate.  On unweighted Gamma
+    each conflict vertex is within floor(t) hops, in a host of maximum
+    degree ``delta``, of one of S's <= 2k ends; more than fit prove NO."""
     checker = ConflictChecker(inst)
     conflicts = frozenset(checker.violated())
-    delta = host.max_degree()
-    if delta == 0 or not inst.gamma.is_unweighted():
-        region = set(range(inst.n))
-    else:
+    if inst.gamma.is_unweighted():
         vc = {x for e in conflicts for x in e}
         if len(vc) > _ball_size_bound(2 * inst.k, delta, math.floor(inst.t)):
             return Verdict.no()
-        region = set(ball(host, vc, radius))
-    candidates = [e for e in inst.non_edges() if e[0] in region and e[1] in region]
+    candidates = checker.ellipse_union(conflicts)
     sol = first_conflict_free(checker, conflicts, candidates, inst.k)
     return Verdict.of(sol) if sol is not None else Verdict.no()
 
 
 def solve_bounded_gamma(inst: Instance) -> Verdict:
-    """FPT engine parameterized by the maximum degree of Gamma.  Gamma is
-    connected, so it is edgeless only when n = 1, with no conflict."""
-    return _solve_bounded(inst, inst.gamma, math.floor(inst.t))
+    """FPT engine parameterized by the maximum degree of Gamma."""
+    return _solve_bounded(inst, inst.gamma.max_degree())
 
 
 def solve_bounded_g(inst: Instance) -> Verdict:
-    """FPT engine parameterized by the maximum degree of G.
-
-    The candidate region is a hop-distance ball in the unweighted shadow
-    of G, of radius floor(t)^2.
-    """
-    return _solve_bounded(inst, Graph(inst.n, inst.g_edges), math.floor(inst.t) ** 2)
+    """FPT engine parameterized by the maximum degree of G."""
+    return _solve_bounded(inst, max_degree(inst.g_edges))

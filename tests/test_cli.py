@@ -75,6 +75,18 @@ def cli(*argv):
     return code, out.getvalue()
 
 
+def parsed_instances(monkeypatch):
+    """The instances the CLI builds from now on, in order."""
+    built = []
+
+    def keep(*args):
+        built.append(build_instance(*args))
+        return built[-1]
+
+    monkeypatch.setattr(fileformat, "build_instance", keep)
+    return built
+
+
 @pytest.fixture
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.dilaug"
@@ -228,18 +240,37 @@ class TestVerify:
         s = adjacent_conflicts(table_built)
         assert s
 
-        built = []
-
-        def keep(*args):
-            built.append(build_instance(*args))
-            return built[-1]
-
-        monkeypatch.setattr(fileformat, "build_instance", keep)
+        built = parsed_instances(monkeypatch)
         inst_file, sol_file = tmp_path / "big.dilaug", tmp_path / "big.sol"
         inst_file.write_text(serialize_instance(table_built))
         sol_file.write_text(serialize_solution(s))
         code, text = cli("verify", "--input", str(inst_file), "--solution", str(sol_file))
         assert (code, text) == (EXIT_YES, "valid\n")
+        [inst] = built
+        assert "dist_gamma" not in inst.__dict__
+
+    def test_large_weighted_bounded_solve_builds_no_full_table(self, tmp_path, monkeypatch):
+        # The conflict kernel reads the Gamma rows of one ellipse and the G
+        # rows of one pair: the n x n table must stay unbuilt, and the
+        # certificate is still brute's.
+        rng = random.Random(501)
+        n = 500
+        gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
+        gamma = Graph(n, gamma_edges, {e: rng.randint(1, 10) for e in gamma_edges})
+        for dropped in gamma_edges:
+            source = build_instance(gamma, set(gamma_edges) - {dropped}, 1, Fraction(3, 2))
+            if len(adjacent_conflicts(source)) == 1:
+                break
+        else:
+            pytest.fail("no Gamma edge leaves exactly one conflict when dropped")
+        expected = oracle.solve_min(source)
+        assert expected.yes
+
+        built = parsed_instances(monkeypatch)
+        inst_file = tmp_path / "big.dilaug"
+        inst_file.write_text(serialize_instance(source))
+        code, text = cli("solve", "--engine", "bounded-gamma", "--input", str(inst_file))
+        assert (code, text) == (EXIT_YES, "YES\n" + serialize_solution(expected.solution))
         [inst] = built
         assert "dist_gamma" not in inst.__dict__
 

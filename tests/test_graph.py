@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilaug.graph import (Graph, GraphError, ball, greedy_maximal_matching,
-                          norm_edge)
+                          max_degree, norm_edge)
 
 from conftest import brute_max_matching, enumerate_path_distance, nx_apsp, nx_graph
 
@@ -131,6 +131,11 @@ class TestStructure:
         g = Graph(5, [(0, i) for i in range(1, 5)])
         assert g.max_degree() == 4
         assert g.degree(0) == 4 and g.degree(3) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_max_degree_of_an_edge_set(self, g):
+        assert max_degree(g.edges) == g.max_degree()
 
 
 class TestBall:

@@ -7,14 +7,16 @@ it checks, and the pairs pending at a set through the pairs passed to
 ``violated``.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug.graph import INF
+from dilaug.graph import INF, ball
 from dilaug.model import (ConflictChecker, adjacent_conflicts,
                           is_conflict_free, stretch_limit)
+from dilaug.oracle import solve_min
 from dilaug.randinst import STRETCHES
 from dilaug.search import first_conflict_free, iter_subsets
 
@@ -89,3 +91,30 @@ def test_first_conflict_free_matches_naive_loop(case, k):
     conflicts = frozenset(checker.violated(sorted(committed)))
     assert (first_conflict_free(checker, conflicts, candidates, k, committed)
             == naive_first(inst, candidates, k, committed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches(), st.integers(min_value=0, max_value=3))
+def test_ellipse_union_holds_the_first_minimum_solution(case, k):
+    inst, _, _ = case
+    checker = ConflictChecker(inst)
+    conflicts = frozenset(checker.violated())
+    union = checker.ellipse_union(conflicts)
+    assert set(union) <= set(inst.non_edges())
+    assert (first_conflict_free(checker, conflicts, union, k)
+            == first_conflict_free(checker, conflicts, inst.non_edges(), k))
+    expected = solve_min(inst)
+    if expected.yes:
+        assert expected.solution <= set(union)
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches(max_weight=1))
+def test_unweighted_ellipse_lies_in_the_floor_t_ball(case):
+    # d(u, a) <= t - d(a, b) - d(b, v) <= t - 1 for an ellipse edge (a, b).
+    inst, _, _ = case
+    checker = ConflictChecker(inst)
+    radius = math.floor(inst.t)
+    for pair in sorted(inst.gamma.edges):
+        near = set(ball(inst.gamma, pair, radius))
+        assert all(a in near and b in near for a, b in checker.ellipse_union([pair]))

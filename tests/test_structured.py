@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dilaug.graph import Graph, ball
-from dilaug.model import adjacent_conflicts, build_instance, verify_solution
+from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
+                          verify_solution)
 from dilaug.oracle import solve_min
 from dilaug.randinst import random_instance
 from dilaug.structured import (EngineInapplicable, solve_bounded_g,
@@ -98,13 +99,16 @@ class TestBoundedEngines:
 class TestWeightedGamma:
     # On weighted Gamma a fixing edge can lie far from every conflict
     # vertex: a is 3 hops from them, beyond the Gamma ball of radius
-    # floor(t) = 2, then 8 hops, beyond the G ball of radius 4 too.
+    # floor(t) = 2, then 8 hops, beyond the G ball of radius 4 too.  It
+    # still lies in their metric ellipses.
     @pytest.mark.parametrize("sizes", [(3, 4, 2, 4), (8, 6, 3, 10)])
     def test_far_bridge_matches_oracle(self, sizes):
         inst = far_bridge_instance(*sizes)
         assert adjacent_conflicts(inst) == {(2, 4), (3, 5)}
         expected = solve_min(inst)
         assert expected.solution == frozenset({(0, 1)})
+        checker = ConflictChecker(inst)
+        assert (0, 1) in checker.ellipse_union(checker.violated())
         for engine in (solve_bounded_gamma, solve_bounded_g):
             assert engine(inst) == expected
 
