@@ -3,7 +3,7 @@
 from .graph import Graph, GraphError, INF, ball, greedy_maximal_matching, norm_edge
 from .model import (ConflictChecker, Instance, InstanceError,
                     MetricUndefinedError, Stretch, VerifyResult,
-                    adjacent_conflicts, build_instance, dilation, stretch_limit,
+                    adjacent_conflicts, build_instance, stretch_limit,
                     verify_solution)
 from .oracle import Verdict, solve_min
 from .structured import (EngineInapplicable, solve_bounded_g, solve_bounded_gamma,

@@ -2,9 +2,10 @@
 
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage, parse or
 engine-inapplicability errors, 3 = the engine could not answer (the kdd
-contract was broken, a search cap was hit, --d is below 1, or a YES
-certificate failed verification).  Output is deterministic for fixed
-inputs, engine and seed.
+contract was broken, a search cap was hit, or a YES certificate failed
+verification), or --d is below 1, whatever the engine.  Output is
+deterministic for fixed inputs, engine and seed; ``auto`` routes on the
+instance alone, so its output is brute's whatever the flags.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from pathlib import Path
 
 from . import kdd, oracle, structured
@@ -42,19 +42,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _pick_auto(inst: Instance, d: int | None) -> str:
+def _pick_auto(inst: Instance) -> str:
     if structured.tree_inapplicable(inst) is None:
         return "tree"
-    if d is not None and kdd.kdd_inapplicable(inst) is None:
-        return "kdd"
     if inst.gamma.max_degree() <= max_degree(inst.g_edges):
         return "bounded-gamma"
     return "bounded-g"
 
 
 def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
+    if d is not None and d < 1:
+        raise CliError(f"--d must be at least 1, got {d}", EXIT_ENGINE)
     if engine == "auto":
-        engine = _pick_auto(inst, d)
+        engine = _pick_auto(inst)
     if engine == "brute":
         return oracle.solve_min(inst)
     if engine == "tree":
@@ -66,8 +66,6 @@ def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
     if engine == "kdd":
         if d is None:
             raise CliError("--d is required for the kdd engine")
-        if d < 1:
-            raise CliError(f"--d must be at least 1, got {d}", EXIT_ENGINE)
         return kdd.solve_kdd(inst, d)
     raise CliError(f"unknown engine {engine!r}")
 
@@ -177,22 +175,6 @@ def cmd_fuzz(args, out) -> int:
     return EXIT_YES if failures == 0 else EXIT_NO
 
 
-def cmd_bench(args, out) -> int:
-    rng = random.Random(12345)
-    rows = []
-    for i in range(10):
-        inst = random_instance(rng, n_max=8, k_max=2, forest_g=(i % 2 == 0))
-        for name in ["brute", *_applicable_engines(inst)]:
-            start = time.perf_counter()
-            verdict = dispatch(inst, name, d=2)
-            elapsed = time.perf_counter() - start
-            rows.append((i, name, verdict.yes, elapsed))
-    out.write(f"{'inst':>4} {'engine':>14} {'answer':>6} {'seconds':>10}\n")
-    for i, name, yes, elapsed in rows:
-        out.write(f"{i:>4} {name:>14} {'YES' if yes else 'NO':>6} {elapsed:>10.4f}\n")
-    return EXIT_YES
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilaug",
@@ -220,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="cross-check engines against the oracle")
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--count", type=int, required=True)
-
-    p_bench = sub.add_parser("bench", help="timing report")
-    p_bench.add_argument("--suite", required=True, choices=("quick",))
     return parser
 
 
@@ -237,7 +216,7 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "gen": cmd_gen,
-                "fuzz": cmd_fuzz, "bench": cmd_bench}
+                "fuzz": cmd_fuzz}
     try:
         return handlers[args.command](args, out)
     except CliError as exc:

@@ -61,11 +61,9 @@ class BlockingSet:
 @dataclass(frozen=True)
 class ReducedSearch:
     """Outcome of the twin reduction: candidate endpoints for the final
-    enumeration, plus the class representatives that were kept."""
+    enumeration."""
 
     candidates: tuple[int, ...]
-    representatives: tuple[int, ...]
-    class_count: int
 
 
 @dataclass
@@ -73,14 +71,12 @@ class BranchStats:
     """Instrumentation for the structural invariants of the recursion."""
 
     nodes: int = 0
-    max_cover: int = 0
     cover_violations: int = 0
     budget_violations: int = 0
     cover_bound: int = 0
 
     def note_node(self, cover_size: int) -> None:
         self.nodes += 1
-        self.max_cover = max(self.max_cover, cover_size)
         if cover_size > self.cover_bound:
             self.cover_violations += 1
 
@@ -191,9 +187,8 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: frozenset[Edge]) -> ReducedSe
         a = frozenset(u for u in near if norm_edge(u, v) in g_cur)
         b = frozenset(near - a)
         classes.setdefault((a, b), []).append(v)
-    reps = tuple(sorted(min(members) for members in classes.values()))
-    return ReducedSearch(candidates=tuple(sorted(vc | set(reps))),
-                         representatives=reps, class_count=len(classes))
+    reps = {min(members) for members in classes.values()}
+    return ReducedSearch(candidates=tuple(sorted(vc | reps)))
 
 
 def _final_enumeration(ann: AnnotatedInstance, conflicts: frozenset[Edge],
@@ -262,7 +257,7 @@ def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdi
     # come from this one checker of G: a node adds at most k edges, so the
     # kernel's closure over their endpoints replaces n Dijkstra runs.
     root = ConflictChecker(inst)
-    conflicts = frozenset(root.violated())
+    conflicts = frozenset(root.pairs)
     if not conflicts:
         return Verdict.of(())
     cgraph = Graph(inst.n, conflicts)

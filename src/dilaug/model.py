@@ -1,6 +1,6 @@
 """Metric embedding of G in Gamma's shortest-path metric.
 
-Houses instances, conflict detection, dilation and solution verification.
+Houses instances, conflict detection and solution verification.
 Every distance in G + S is an integer or INF, so t enters every stretch
 comparison as one integer limit per Gamma edge (``stretch_limit``);
 floating point never touches a threshold decision.
@@ -286,22 +286,6 @@ class ConflictChecker:
                         for x, row in zip(terms, close)), default=INF)
             if min(du[v], best) > limit[u, v]:
                 yield u, v
-
-
-def dilation(inst: Instance, s: Iterable[Edge] = ()) -> Stretch | float:
-    """Max over all pairs of d_{G+S}(u, v) / d_Gamma(u, v); inf if disconnected."""
-    s = normalize_solution(s, inst.n)
-    adj = inst.g_adjacency(s)
-    worst = Fraction(1)
-    for u in range(inst.n):
-        row = dijkstra(adj, u)
-        for v in range(u + 1, inst.n):
-            if row[v] == INF:
-                return INF
-            ratio = Fraction(int(row[v]), inst.dist_gamma[u][v])
-            if ratio > worst:
-                worst = ratio
-    return worst
 
 
 def verify_solution(inst: Instance, s: Iterable[Edge]) -> VerifyResult:

@@ -65,7 +65,7 @@ def _solve_bounded(inst: Instance, delta: int) -> Verdict:
     each conflict vertex is within floor(t) hops, in a host of maximum
     degree ``delta``, of one of S's <= 2k ends; more than fit prove NO."""
     checker = ConflictChecker(inst)
-    conflicts = frozenset(checker.violated())
+    conflicts = frozenset(checker.pairs)
     if inst.gamma.is_unweighted():
         vc = {x for e in conflicts for x in e}
         if len(vc) > _ball_size_bound(2 * inst.k, delta, math.floor(inst.t)):

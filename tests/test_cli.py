@@ -12,7 +12,7 @@ from dilaug.fileformat import (ParseError, parse_rational, serialize_instance,
 from dilaug.graph import Graph, norm_edge
 from dilaug.model import adjacent_conflicts, build_instance
 from dilaug.oracle import Verdict
-from dilaug.randinst import random_connected_gamma
+from dilaug.randinst import random_connected_gamma, random_instance
 
 from conftest import far_bridge_instance
 
@@ -174,6 +174,17 @@ class TestSolve:
             outs.add(cli("solve", "--engine", engine, "--input", triangle_file))
         assert len(outs) == 1
 
+    def test_auto_ignores_d(self, tmp_path):
+        # t = 2 with a forest G is kdd's domain, and kdd may print another
+        # minimum certificate than brute's: --d must not route auto there.
+        rng = random.Random(10008)
+        path = tmp_path / "inst.dilaug"
+        for _ in range(200):
+            inst = random_instance(rng, n_max=8, k_max=2, forest_g=True, ts=(Fraction(2),))
+            path.write_text(serialize_instance(inst))
+            assert (cli("solve", "--engine", "auto", "--d", "2", "--input", str(path))
+                    == cli("solve", "--engine", "brute", "--input", str(path)))
+
 
 class TestEngineFailure:
     """Exit code 3: the engine could not give an answer.  Never 1, which
@@ -190,6 +201,12 @@ class TestEngineFailure:
     def test_d_below_one(self, triangle_file, capsys):
         code, _ = cli("solve", "--engine", "kdd", "--d", "0", "--input", triangle_file)
         assert code == EXIT_ENGINE
+        assert "--d" in capsys.readouterr().err
+
+    def test_d_below_one_on_auto(self, triangle_file, capsys):
+        # The triangle is no kdd instance (t = 3/2); --d is checked anyway.
+        code, text = cli("solve", "--engine", "auto", "--d", "0", "--input", triangle_file)
+        assert (code, text) == (EXIT_ENGINE, "")
         assert "--d" in capsys.readouterr().err
 
     def test_search_cap(self, triangle_file, monkeypatch, capsys):
@@ -384,15 +401,6 @@ class TestFuzzAndBench:
         code, text = cli("fuzz", "--seed", "11", "--count", "25")
         assert code == EXIT_YES
         assert "25 instances, 0 disagreements" in text
-
-    def test_bench_quick(self):
-        code, text = cli("bench", "--suite", "quick")
-        assert code == EXIT_YES
-        assert "engine" in text.splitlines()[0]
-
-    def test_bench_unknown_suite(self, capsys):
-        code, _ = cli("bench", "--suite", "huge")
-        assert code == EXIT_USAGE
 
 
 class TestUsage:

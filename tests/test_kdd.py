@@ -137,8 +137,7 @@ class TestTwinReduce:
         red = twin_reduce(ann, node_conflicts(ann))
         # Everything is conflict-free, so all vertices share the empty
         # signature and a single representative survives.
-        assert red.class_count == 1
-        assert red.representatives == (0,)
+        assert red.candidates == (0,)
 
     def test_star_leaves_collapse(self):
         # K_{1,5}, G = all center edges but (0, 5): leaves 1..4 are twins.
@@ -146,8 +145,8 @@ class TestTwinReduce:
         inst = build_instance(gamma, [(0, i) for i in range(1, 5)], 1, Fraction(2))
         ann = AnnotatedInstance(base=inst, added=frozenset(), k=1, r=(0, 5))
         red = twin_reduce(ann, node_conflicts(ann))
-        assert red.class_count == 1
-        assert red.representatives == (1,)
+        # Leaves 1..4 form one class; 1 represents it beside the conflict
+        # vertices 0 and 5.
         assert red.candidates == (0, 1, 5)
 
     def test_conflict_vertices_always_kept(self, star_instance):

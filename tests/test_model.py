@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dilaug.graph import Graph
 from dilaug.model import (InstanceError, MetricUndefinedError, VerifyResult,
-                          adjacent_conflicts, build_instance, dilation,
+                          adjacent_conflicts, build_instance,
                           is_conflict_free, normalize_solution, stretch_limit,
                           verify_solution)
 from dilaug.randinst import random_instance, random_solution
@@ -127,40 +127,29 @@ class TestConflicts:
 
 
 class TestDilation:
+    """Dilation <= t exactly when no Gamma edge is in conflict."""
+
     def test_identity_embedding(self, triangle_gamma):
         inst = build_instance(triangle_gamma, triangle_gamma.edges, 0, 1)
-        assert dilation(inst) == 1
+        assert adjacent_conflicts(inst) == frozenset()
 
     def test_triangle_path(self, triangle_path_instance):
-        assert dilation(triangle_path_instance) == Fraction(2)
+        # G's path 0-1-2 stretches the Gamma edge (0, 2) by exactly 2.
+        inst = triangle_path_instance
+        assert adjacent_conflicts(inst) == {(0, 2)}
+        assert adjacent_conflicts(build_instance(inst.gamma, inst.g_edges, 0, 2)) == frozenset()
 
     def test_disconnected_g_is_inf(self, star_instance):
-        assert dilation(star_instance) == math.inf
-
-    def test_matches_brute_ratio(self):
-        rng = random.Random(99)
-        for _ in range(100):
-            inst = random_instance(rng, n_max=6, k_max=1)
-            s = random_solution(rng, inst)
-            dist = embedded_apsp(inst, s)
-            worst = Fraction(1)
-            finite = True
-            for u in range(inst.n):
-                for v in range(u + 1, inst.n):
-                    if dist[(u, v)] == math.inf:
-                        finite = False
-                    else:
-                        worst = max(worst, Fraction(int(dist[(u, v)]),
-                                                    inst.dist_gamma[u][v]))
-            expected = worst if finite else math.inf
-            assert dilation(inst, s) == expected
+        # No t fixes a pair that G leaves disconnected.
+        inst = build_instance(star_instance.gamma, [], 0, 100)
+        assert adjacent_conflicts(inst) == inst.gamma.edges
 
     def test_adding_edges_never_hurts(self):
         rng = random.Random(7)
         for _ in range(60):
             inst = random_instance(rng, n_max=6, k_max=1)
             s = random_solution(rng, inst)
-            assert dilation(inst, s) <= dilation(inst)
+            assert adjacent_conflicts(inst, s) <= adjacent_conflicts(inst)
 
     def test_gamma_is_a_lower_bound(self):
         # d_{G+S} >= d_Gamma pointwise, so dilation is always >= 1.
@@ -218,6 +207,5 @@ class TestVerify:
             s = random_solution(rng, inst)
             if verify_solution(inst, s).ok:
                 checked += 1
-                d = dilation(inst, s)
-                assert d != math.inf and d <= inst.t
+                assert all_pairs_within_stretch(inst, s)
         assert checked > 20
