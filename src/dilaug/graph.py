@@ -27,16 +27,52 @@ def norm_edge(u: int, v: int) -> Edge:
 
 
 def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
-             stop: float = INF) -> list[float]:
+             targets: Iterable[int] | None = None) -> list[float]:
     """Distances from ``source`` over a weighted adjacency list.
 
-    The run settles only the vertices within distance ``stop``: every
-    distance above ``stop`` is left INF.
+    Given ``targets``, the run stops once the distance of every target is
+    final, and only those distances are exact.  A target x is final once
+    its tentative distance is at most the popped distance plus the
+    lightest edge at x: any other path enters x from an unsettled vertex.
     """
     dist: list[float] = [INF] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
+    pending = None if targets is None else [
+        (x, min((wt for _, wt in adj[x]), default=INF)) for x in targets]
     while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        if pending is not None:
+            while pending and dist[pending[-1][0]] <= du + pending[-1][1]:
+                pending.pop()  # decided for good, so only the last needs a look
+            if not pending:
+                break
+        for v, wt in adj[u]:
+            nd = du + wt
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def exceeding(adj: Sequence[Sequence[tuple[int, int]]], source: int,
+              bound: dict[int, int]) -> set[int]:
+    """The vertices x of ``bound`` farther from ``source`` than ``bound[x]``.
+
+    x is cleared at its first tentative distance within its bound; the run
+    stops once all are cleared and never pushes past the largest open bound.
+    """
+    cap = [-1] * len(adj)  # the bound of each open vertex, -1 for the others
+    left = {x for x, b in bound.items() if x != source or b < 0}
+    for x in left:
+        cap[x] = bound[x]
+    stop = max((cap[x] for x in left), default=-1)
+    dist: list[float] = [INF] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap and heap[0][0] < stop:  # a vertex at stop reaches none within it
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
@@ -45,7 +81,11 @@ def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
             if nd < dist[v] and nd <= stop:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+                if nd <= cap[v]:
+                    left.remove(v)
+                    cap[v] = -1
+                    stop = max((cap[x] for x in left), default=-1)
+    return left
 
 
 def find(parent: list[int], x: int) -> int:
@@ -97,17 +137,8 @@ class Graph:
             row.sort()
         self._adj = adj
 
-    def edge_weight(self, u: int, v: int) -> int:
-        e = norm_edge(u, v)
-        if e not in self.edges:
-            raise GraphError(f"{e} is not an edge")
-        return self.weight.get(e, 1)
-
     def neighbors(self, u: int) -> list[int]:
         return [v for v, _ in self._adj[u]]
-
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
 
     def max_degree(self) -> int:
         return max((len(row) for row in self._adj), default=0)
@@ -134,11 +165,11 @@ class Graph:
                     queue.append(v)
         return dist
 
-    def weighted_distances(self, source: int, stop: float = INF) -> list[float]:
-        """Dijkstra distances from ``source`` under edge weights; those
-        above ``stop`` are left INF."""
+    def weighted_distances(self, source: int,
+                           targets: Iterable[int] | None = None) -> list[float]:
+        """``dijkstra`` from ``source`` under this graph's edge weights."""
         self._check_source(source)
-        return dijkstra(self._adj, source, stop)
+        return dijkstra(self._adj, source, targets)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -193,11 +193,13 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: frozenset[Edge]) -> ReducedSe
 
 def _final_enumeration(ann: AnnotatedInstance, conflicts: frozenset[Edge],
                        root: ConflictChecker) -> frozenset[Edge] | None:
-    allowed = twin_reduce(ann, conflicts).candidates
+    """Search the ellipse edges of the pending pairs between allowed ends,
+    not inside R: an edge outside every pending ellipse fixes no pair."""
+    allowed = set(twin_reduce(ann, conflicts).candidates)
     in_r = set(ann.r)
     g_cur = ann.g_edges
-    candidates = [(a, b) for a, b in combinations(allowed, 2)
-                  if (a, b) not in g_cur and not (a in in_r and b in in_r)]
+    candidates = [(a, b) for a, b in root.ellipse_union(conflicts)
+                  if {a, b} <= allowed and (a, b) not in g_cur and not {a, b} <= in_r]
     return first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
 
 

@@ -6,20 +6,20 @@ comparison as one integer limit per Gamma edge (``stretch_limit``);
 floating point never touches a threshold decision.
 
 The metric is lazy: an instance computes d_Gamma only for the pairs and
-rows it is asked about, with Dijkstra runs that stop early for a pair,
-until a reader asks for the whole table (``Instance.dist_gamma``).
+rows it is asked about, with Dijkstra runs that stop once those pairs are
+decided, until a reader asks for the whole table (``Instance.dist_gamma``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations, groupby
 from operator import add, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .graph import INF, Edge, Graph, dijkstra, norm_edge
+from .graph import INF, Edge, Graph, dijkstra, exceeding, norm_edge
 
 Stretch = Fraction
 
@@ -54,16 +54,14 @@ class Instance:
     Every G edge (u, v) is embedded with weight d_Gamma(u, v).
     ``d_gamma`` gives one distance, ``gamma_rows[u]`` the row from u,
     ``dist_gamma`` the table, and ``limit[u, v]`` the ``stretch_limit`` of
-    each Gamma edge (u, v), u < v.
+    each Gamma edge (u, v), u < v.  On weighted Gamma, no G or Gamma edge
+    needs a full row.
     """
 
     gamma: Graph
     g_edges: frozenset[Edge]
     k: int
     t: Stretch
-    # Source u -> a Dijkstra row from u over Gamma, INF past its stop.
-    _rows: dict[int, list[float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -82,24 +80,38 @@ class Instance:
         rows = self.gamma_rows
         return tuple(tuple(rows[u]) for u in range(self.n))
 
+    @cached_property
+    def _targets(self) -> dict[int, set[int]]:
+        """Source u -> the v > u that u's run decides: Gamma edges of weight
+        above 2 and, on weighted Gamma only, G chords (G edges off Gamma)."""
+        gamma, targets = self.gamma, {}
+        chords = self.g_edges - gamma.edges if gamma.weight else ()
+        for u, v in chain((e for e, w in gamma.weight.items() if w > 2), chords):
+            targets.setdefault(u, set()).add(v)
+        return targets
+
+    @cached_property
+    def _rows(self) -> dict[int, list[float]]:
+        """Source u -> a Dijkstra run from u over Gamma, exact at u's targets."""
+        gamma, targets = self.gamma, self._targets  # no cycle through self
+        return _Rows(lambda u: gamma.weighted_distances(u, targets[u]))
+
     def d_gamma(self, u: int, v: int) -> int:
         """d_Gamma(u, v), from the full row of min(u, v) if there is one.
 
-        Else a Gamma edge of weight <= 2 is a shortest path, as any other
-        has two edges of weight >= 1.  A heavier one reads a memoised
-        Dijkstra run from min(u, v) that stops past the heaviest Gamma edge
-        there; only a pair beyond that, a G chord, needs a full row.
+        Else a target of min(u, v) reads the memoised run from there, which
+        stops once its targets are final, and any other Gamma edge, of
+        weight <= 2, is a shortest path.  The rest, such as a solution edge
+        or a chord on unweighted Gamma (a BFS row), read a full row.
         """
         u, v = norm_edge(u, v)
         gamma, full = self.gamma, self.gamma_rows
-        row = full.get(u, self._rows.get(u))
-        if row is None and (u, v) in gamma.edges:
-            w = gamma.edge_weight(u, v)
-            if w <= 2:
-                return w
-            stop = max(gamma.edge_weight(u, x) for x in gamma.neighbors(u) if x > u)
-            row = self._rows[u] = gamma.weighted_distances(u, stop)
-        return row[v] if row is not None and row[v] != INF else full[u][v]
+        if u not in full:
+            if v in self._targets.get(u, ()):
+                return self._rows[u][v]
+            if (u, v) in gamma.edges:
+                return gamma.weight.get((u, v), 1)
+        return full[u][v]
 
     @cached_property
     def limit(self) -> dict[Edge, int]:
@@ -171,21 +183,16 @@ def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
     lazily and in order.
 
     A pair that is itself an edge of G + S is within its limit.  The
-    others get one Dijkstra run per distinct first endpoint u, which stops
-    past u's largest limit: a vertex it leaves unsettled is beyond every
-    limit of u.
+    others get one bound check over G + S per distinct first endpoint u
+    (``graph.exceeding``): it clears a pair at its first path within the
+    limit and stops once every pair of u is cleared or past its limit.
     """
     s = frozenset(s)
-    adj = inst.g_adjacency(s)
-    limit = inst.limit
-    present = inst.g_edges | s
+    adj, limit, present = inst.g_adjacency(s), inst.limit, inst.g_edges | s
     open_pairs = [e for e in sorted(inst.gamma.edges) if e not in present]
     for u, pairs in groupby(open_pairs, key=itemgetter(0)):
-        pairs = list(pairs)
-        row = dijkstra(adj, u, max(limit[p] for p in pairs))
-        for p in pairs:
-            if row[p[1]] > limit[p]:
-                yield p
+        for v in sorted(exceeding(adj, u, {x: limit[u, x] for _, x in pairs})):
+            yield u, v
 
 
 def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> frozenset[Edge]:

@@ -102,7 +102,7 @@ def enumerate_path_distance(g: Graph, source: int, target: int) -> float:
             return
         for v in g.neighbors(u):
             if v not in used:
-                walk(v, used | {v}, total + g.edge_weight(u, v))
+                walk(v, used | {v}, total + g.weight.get(norm_edge(u, v), 1))
 
     walk(source, {source}, 0)
     return best[0]

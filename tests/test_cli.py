@@ -265,6 +265,9 @@ class TestVerify:
         assert (code, text) == (EXIT_YES, "valid\n")
         [inst] = built
         assert "dist_gamma" not in inst.__dict__
+        # Not one full row either: each G edge, G chords included, and
+        # each limit is read from a run that stops at its targets.
+        assert not inst.gamma_rows
 
     def test_large_weighted_bounded_solve_builds_no_full_table(self, tmp_path, monkeypatch):
         # The conflict kernel reads the Gamma rows of one ellipse and the G

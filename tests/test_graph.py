@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug.graph import (Graph, GraphError, ball, greedy_maximal_matching,
-                          max_degree, norm_edge)
+from dilaug.graph import (Graph, GraphError, ball, exceeding,
+                          greedy_maximal_matching, max_degree, norm_edge)
 
 from conftest import brute_max_matching, enumerate_path_distance, nx_apsp, nx_graph
 
 
-def small_graphs(max_n=7, weighted=False):
+def small_graphs(max_n=7, weighted=False, max_weight=5):
     @st.composite
     def build(draw):
         n = draw(st.integers(min_value=1, max_value=max_n))
@@ -20,7 +20,7 @@ def small_graphs(max_n=7, weighted=False):
         weights = {}
         if weighted:
             for e in edges:
-                weights[e] = draw(st.integers(min_value=1, max_value=5))
+                weights[e] = draw(st.integers(min_value=1, max_value=max_weight))
         return Graph(n, edges, weights or None)
 
     return build()
@@ -55,8 +55,7 @@ class TestConstruction:
     def test_unit_weights_are_implicit(self):
         g = Graph(3, [(0, 1), (1, 2)], {(0, 1): 1, (1, 2): 3})
         assert g.is_unweighted() is False
-        assert g.edge_weight(0, 1) == 1
-        assert g.edge_weight(2, 1) == 3
+        assert g.weight == {(1, 2): 3}
 
     def test_norm_edge(self):
         assert norm_edge(4, 1) == (1, 4)
@@ -93,15 +92,41 @@ class TestDistances:
         for v in range(1, g.n):
             assert g.weighted_distances(0)[v] == enumerate_path_distance(g, 0, v)
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_graphs(weighted=True), st.integers(min_value=0, max_value=12))
-    def test_early_stop_is_exact_within_stop(self, g, stop):
-        # Every vertex within ``stop`` is settled exactly; every other one
-        # is left INF, so it is beyond the stop.
-        for source in range(g.n):
-            full = g.weighted_distances(source)
-            assert g.weighted_distances(source, stop) == [
-                d if d <= stop else math.inf for d in full]
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
+    def test_target_distances_match_full_row(self, g, data):
+        # A run that stops once its targets are final still gives each of
+        # them, the source or an unreachable vertex included, its exact
+        # distance.
+        source = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        targets = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        full = g.weighted_distances(source)
+        row = g.weighted_distances(source, targets)
+        assert {x: row[x] for x in targets} == {x: full[x] for x in targets}
+
+    def test_target_run_stops_once_its_targets_are_final(self):
+        # Popping 1 at distance 1 decides target 2: its tentative 2 (the
+        # edge 0-2) is at most 1 plus the lightest edge at 2, so the run
+        # stops before it relaxes 1-3.
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)], {(0, 2): 2})
+        assert g.weighted_distances(0, {2}) == [0, 1, 2, math.inf]
+        assert g.weighted_distances(0) == [0, 1, 2, 2]
+        # With 0-2 at 3 the same pop does not decide 2: 1-2 is shorter.
+        g = Graph(3, [(0, 1), (0, 2), (1, 2)], {(0, 2): 3})
+        assert g.weighted_distances(0, {2}) == [0, 1, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
+    def test_exceeding_matches_full_row(self, g, data):
+        # Bounds below, at and above the distances, and bounds above every
+        # distance that never stop the run early: exactly the vertices past
+        # their bound, unreachable ones included.
+        source = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        bound = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=g.n - 1),
+            st.one_of(st.integers(min_value=-1, max_value=40), st.just(10 ** 6))))
+        full = g.weighted_distances(source)
+        assert exceeding(g._adj, source, bound) == {x for x in bound if full[x] > bound[x]}
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
@@ -130,7 +155,7 @@ class TestStructure:
     def test_max_degree_star(self):
         g = Graph(5, [(0, i) for i in range(1, 5)])
         assert g.max_degree() == 4
-        assert g.degree(0) == 4 and g.degree(3) == 1
+        assert g.neighbors(0) == [1, 2, 3, 4] and g.neighbors(3) == [0]
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
