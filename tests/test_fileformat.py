@@ -81,6 +81,64 @@ class TestParseInstance:
         assert parse_instance(text).n == 3
 
 
+HEAD = "p dilaug 3 0 2\n"
+
+# Every error parse_instance raises: (text, message, line number or None).
+PARSE_ERRORS = [
+    (HEAD + "e 1 x 1\n", "bad vertex id 'x'", 2),
+    (HEAD + "e x 9 1\n", "bad vertex id 'x'", 2),
+    (HEAD + "e 0 x 1\n", "vertex 0 out of range [1, 3]", 2),
+    (HEAD + "e 1 4 1\n", "vertex 4 out of range [1, 3]", 2),
+    (HEAD + "g 4 1\n", "vertex 4 out of range [1, 3]", 2),
+    (HEAD + "g 1 y\n", "bad vertex id 'y'", 2),
+    (HEAD + "l 9 far\n", "vertex 9 out of range [1, 3]", 2),
+    (HEAD + "l z far\n", "bad vertex id 'z'", 2),
+    (HEAD + "e 2 2 1\n", "self-loop", 2),
+    (HEAD + "g 3 3\n", "self-loop", 2),
+    (HEAD + "e 1 2 w\n", "bad weight 'w'", 2),
+    (HEAD + "e 1 2 0\n", "weight 0 must be >= 1", 2),
+    (HEAD + "e 1 2 -3\n", "weight -3 must be >= 1", 2),
+    (HEAD + "e 1 2 1\ne 2 1 4\n", "duplicate gamma edge", 3),
+    (HEAD + "g 1 2\ng 2 1\n", "duplicate G edge", 3),
+    (HEAD + "e 1 2\n", "gamma edge line must be 'e <u> <v> <w>'", 2),
+    (HEAD + "e 1 2 1 1\n", "gamma edge line must be 'e <u> <v> <w>'", 2),
+    (HEAD + "g 1\n", "G edge line must be 'g <u> <v>'", 2),
+    (HEAD + "g 1 2 3\n", "G edge line must be 'g <u> <v>'", 2),
+    (HEAD + "l 1\n", "label line must be 'l <v> <label>'", 2),
+    (HEAD + "x 1 2\n", "unknown line type 'x'", 2),
+    (HEAD + "E 1 2 1\n", "unknown line type 'E'", 2),
+    ("e 1 2 1\n" + HEAD, "header must precede edge lines", 1),
+    ("g 1 2\n" + HEAD, "header must precede edge lines", 1),
+    (HEAD + HEAD, "duplicate header", 2),
+    ("p dilaug 3 0\n", "header must be 'p dilaug <n> <k> <t>'", 1),
+    ("p dilaug 3 0 2 9\n", "header must be 'p dilaug <n> <k> <t>'", 1),
+    ("p src 3 0 2\n", "header must be 'p dilaug <n> <k> <t>'", 1),
+    ("p dilaug x 0 2\n", "bad n 'x'", 1),
+    ("p dilaug 3 y 2\n", "bad k 'y'", 1),
+    ("p dilaug 0 0 2\n", "need n >= 1 and k >= 0", 1),
+    ("p dilaug 3 -1 2\n", "need n >= 1 and k >= 0", 1),
+    ("p dilaug 3 0 z\n", "bad rational 'z'", 1),
+    ("p dilaug 3 0 1/2\n", "stretch 1/2 is below 1", 1),
+    ("c no header\n\n", "missing 'p dilaug' header", None),
+    (HEAD + "e 1 2 1\n", "metric undefined: gamma is disconnected", None),
+    ("p dilaug 4 0 2\ne 1 2 1\ne 2 3 1\ne 1 3 1\n",
+     "metric undefined: gamma is disconnected", None),
+    (HEAD + "e 1 2 1\ne 1 3 1\ng 4 1\n", "vertex 4 out of range [1, 3]", 4),
+    # Comments, indented ones too, and blank lines count toward line numbers.
+    ("  c note\n" + HEAD + "x\n", "unknown line type 'x'", 3),
+    ("\tcomment\n\n" + HEAD + "e 1 1 1\n", "self-loop", 4),
+]
+
+
+@pytest.mark.parametrize("text,message,line", PARSE_ERRORS)
+def test_parse_error_table(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line == line
+    where = f"line {line}: " if line is not None else ""
+    assert str(info.value) == where + message
+
+
 class TestRoundTrip:
     def test_serialize_then_parse(self):
         rng = random.Random(606)
