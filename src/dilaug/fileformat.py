@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .graph import Edge, Graph, GraphError, norm_edge
+from .graph import Edge, Graph, GraphError
 from .model import Instance, InstanceError, MetricUndefinedError, build_instance
 
 
@@ -64,18 +64,22 @@ def _vertex(tok: str, n: int, lineno: int) -> int:
 
 def _edge(parts: list[str], n: int, lineno: int) -> Edge:
     """The 0-based edge of the tokens ``parts[1]`` and ``parts[2]``."""
-    u, v = _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)
-    if u == v:
-        raise ParseError("self-loop", lineno)
-    return norm_edge(u, v)
+    try:
+        u, v = int(parts[1]), int(parts[2])
+    except ValueError:
+        u = v = 0
+    if 0 < u <= n and 0 < v <= n and u != v:
+        return (u - 1, v - 1) if u < v else (v - 1, u - 1)
+    _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)  # raises unless a self-loop
+    raise ParseError("self-loop", lineno)
 
 
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) of every line not blank and not a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("c"):
-            yield lineno, line.split()
+        parts = raw.split()
+        if parts and parts[0][0] != "c":  # a comment's first token starts with c
+            yield lineno, parts
 
 
 def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> Instance:

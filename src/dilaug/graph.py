@@ -27,25 +27,28 @@ def norm_edge(u: int, v: int) -> Edge:
 
 
 def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
-             targets: Iterable[int] | None = None) -> list[float]:
+             targets: Iterable[int] | None = None,
+             light: Sequence[float] = ()) -> list[float]:
     """Distances from ``source`` over a weighted adjacency list.
 
-    Given ``targets``, the run stops once the distance of every target is
-    final, and only those distances are exact.  A target x is final once
-    its tentative distance is at most the popped distance plus the
-    lightest edge at x: any other path enters x from an unsettled vertex.
+    Given ``targets`` and ``light``, each vertex's lightest edge weight, the
+    run stops once dist[x] <= popped distance + light[x] for every target x
+    (other paths enter x from unsettled vertices); only their distances are
+    exact.  Once the source pops, all hold at stop = max(w(source, x) - light[x]).
     """
     dist: list[float] = [INF] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
-    pending = None if targets is None else [
-        (x, min((wt for _, wt in adj[x]), default=INF)) for x in targets]
+    pending, stop = None, INF
+    if targets is not None:
+        pending, near = list(targets), dict(adj[source])
+        stop = max((near[x] - light[x] if x in near else INF for x in pending), default=INF)
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
         if pending is not None:
-            while pending and dist[pending[-1][0]] <= du + pending[-1][1]:
+            while pending and dist[pending[-1]] <= du + light[pending[-1]]:
                 pending.pop()  # decided for good, so only the last needs a look
             if not pending:
                 break
@@ -53,7 +56,8 @@ def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
             nd = du + wt
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                if nd < stop:  # no vertex at or past stop is ever expanded
+                    heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -99,11 +103,11 @@ def find(parent: list[int], x: int) -> int:
 class Graph:
     """Simple undirected graph with optional positive integer edge weights.
 
-    A missing weight entry means weight 1.  No self-loops, no parallel
-    edges.
+    A missing weight entry means weight 1, and ``light[x]`` is the lightest
+    edge weight at x (inf if none).  No self-loops, no parallel edges.
     """
 
-    __slots__ = ("n", "edges", "weight", "_adj")
+    __slots__ = ("n", "edges", "weight", "light", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  weight: dict[Edge, int] | None = None):
@@ -116,26 +120,28 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range [0, {n})")
-            normed.add(norm_edge(u, v))
+            normed.add((u, v) if u < v else (v, u))
         self.edges: frozenset[Edge] = frozenset(normed)
         w = {}
         for (u, v), wt in (weight or {}).items():
-            e = norm_edge(u, v)
-            if e not in self.edges:
+            e = (u, v) if u < v else (v, u)
+            if e not in normed:
                 raise GraphError(f"weight given for non-edge {e}")
             if wt != int(wt) or wt < 1:
                 raise GraphError(f"weight of {e} must be a positive integer")
-            if int(wt) != 1:
+            if wt != 1:
                 w[e] = int(wt)
         self.weight: dict[Edge, int] = w
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v) in self.edges:
+        for (u, v) in normed:
             wt = w.get((u, v), 1)
             adj[u].append((v, wt))
             adj[v].append((u, wt))
         for row in adj:
             row.sort()
         self._adj = adj
+        self.light: list[float] = [min([wt for _, wt in row], default=INF) if w
+                                   else 1 if row else INF for row in adj]
 
     def neighbors(self, u: int) -> list[int]:
         return [v for v, _ in self._adj[u]]
@@ -169,7 +175,7 @@ class Graph:
                            targets: Iterable[int] | None = None) -> list[float]:
         """``dijkstra`` from ``source`` under this graph's edge weights."""
         self._check_source(source)
-        return dijkstra(self._adj, source, targets)
+        return dijkstra(self._adj, source, targets, self.light)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -1,10 +1,13 @@
+import heapq
 import math
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilaug import graph as graph_module
 from dilaug.graph import (Graph, GraphError, ball, exceeding,
                           greedy_maximal_matching, max_degree, norm_edge)
 
@@ -114,6 +117,40 @@ class TestDistances:
         # With 0-2 at 3 the same pop does not decide 2: 1-2 is shorter.
         g = Graph(3, [(0, 1), (0, 2), (1, 2)], {(0, 2): 3})
         assert g.weighted_distances(0, {2}) == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
+    def test_neighbour_targets_match_full_row(self, g, data):
+        # Targets drawn from the source's neighbours only, so every run has
+        # a finite push cap; a single neighbour has the tightest one.
+        for source in range(g.n):
+            near = g.neighbors(source)
+            full = g.weighted_distances(source)
+            drawn = data.draw(st.sets(st.sampled_from(near))) if near else set()
+            for targets in [{x} for x in near] + [drawn]:
+                row = g.weighted_distances(source, targets)
+                assert {x: row[x] for x in targets} == {x: full[x] for x in targets}
+
+    def test_push_cap(self, monkeypatch):
+        # The target 3 sits across 0-3 of weight 5 and its lightest edge is
+        # 2-3 of weight 1, so the run expands nothing at 5 - 1 = 4 or more:
+        # 3 at 5 and 4 at 4 are relaxed but not pushed, 2 at 3 is pushed
+        # and lowers 3 to its exact 4, and 5 beyond 4 is never reached.
+        g = Graph(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (4, 5)],
+                  {(0, 3): 5, (1, 2): 2, (1, 4): 3})
+        pushed = []
+        monkeypatch.setattr(graph_module, "heapq", SimpleNamespace(
+            heapify=heapq.heapify, heappop=heapq.heappop,
+            heappush=lambda heap, item: pushed.append(item) or heapq.heappush(heap, item)))
+        assert g.weighted_distances(0, {3}) == [0, 1, 3, 4, 4, math.inf]
+        assert pushed == [(1, 1), (3, 2)]
+        assert g.weighted_distances(0) == [0, 1, 3, 4, 4, 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_n=9, weighted=True, max_weight=10))
+    def test_light_is_each_rows_minimum(self, g):
+        assert g.light == [min((g.weight.get(norm_edge(x, y), 1) for y in g.neighbors(x)),
+                               default=math.inf) for x in range(g.n)]
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
