@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 INF = math.inf
 
@@ -61,19 +61,20 @@ def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
     return dist
 
 
-def exceeding(adj: Sequence[Sequence[tuple[int, int]]], source: int,
-              bound: dict[int, int]) -> set[int]:
+def exceeding(adj: Mapping[int, Sequence[tuple[int, int]]] | Sequence[Sequence[tuple[int, int]]],
+              source: int, bound: dict[int, int], n: int) -> set[int]:
     """The vertices x of ``bound`` farther from ``source`` than ``bound[x]``.
 
     x is cleared at its first tentative distance within its bound; the run
     stops once all are cleared and never pushes past the largest open bound.
+    Of the ``n`` vertices, it reads the row ``adj[u]`` of those it expands.
     """
-    cap = [-1] * len(adj)  # the bound of each open vertex, -1 for the others
+    cap = [-1] * n  # the bound of each open vertex, -1 for the others
     left = {x for x, b in bound.items() if x != source or b < 0}
     for x in left:
         cap[x] = bound[x]
     stop = max((cap[x] for x in left), default=-1)
-    dist: list[float] = [INF] * len(adj)
+    dist: list[float] = [INF] * n
     dist[source] = 0
     heap = [(0, source)]
     while heap and heap[0][0] < stop:  # a vertex at stop reaches none within it

@@ -7,7 +7,8 @@ floating point never touches a threshold decision.
 
 The metric is lazy: an instance computes d_Gamma only for the pairs and
 rows it is asked about, with Dijkstra runs that stop once those pairs are
-decided, until a reader asks for the whole table (``Instance.dist_gamma``).
+decided; the conflict scan reads it only where Gamma's own edge weights,
+as upper bounds, leave a pair undecided.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ class Instance:
     """An immutable (G, Gamma, k, t) instance over Gamma's lazy metric.
 
     Every G edge (u, v) is embedded with weight d_Gamma(u, v).
-    ``d_gamma`` gives one distance, ``gamma_rows[u]`` the row from u,
-    ``dist_gamma`` the table, and ``limit[u, v]`` the ``stretch_limit`` of
-    each Gamma edge (u, v), u < v.  On weighted Gamma, no G or Gamma edge
-    needs a full row.
+    ``d_gamma`` gives one distance and ``gamma_rows[u]`` the row from u.
+    On weighted Gamma, no G or Gamma edge needs a full row.
     """
 
     gamma: Graph
@@ -73,12 +72,6 @@ class Instance:
         on unweighted Gamma, Dijkstra otherwise."""
         gamma = self.gamma
         return _Rows(gamma.hop_distances if gamma.is_unweighted() else gamma.weighted_distances)
-
-    @cached_property
-    def dist_gamma(self) -> tuple[tuple[int, ...], ...]:
-        """The table of d_Gamma, built from ``gamma_rows`` on first read."""
-        rows = self.gamma_rows
-        return tuple(tuple(rows[u]) for u in range(self.n))
 
     @cached_property
     def _targets(self) -> dict[int, set[int]]:
@@ -113,21 +106,16 @@ class Instance:
                 return gamma.weight.get((u, v), 1)
         return full[u][v]
 
-    @cached_property
-    def limit(self) -> dict[Edge, int]:
-        return {(u, v): stretch_limit(self.d_gamma(u, v), self.t)
-                for u, v in self.gamma.edges}
-
     def non_edges(self) -> list[Edge]:
         """Non-edges of G in lexicographic order (candidate solution edges)."""
         present = self.g_edges
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if (u, v) not in present]
 
-    def g_adjacency(self, extra: Iterable[Edge] = ()) -> list[list[tuple[int, int]]]:
-        """Weighted adjacency of G + extra, edge weights taken from the metric."""
+    def g_adjacency(self) -> list[list[tuple[int, int]]]:
+        """Weighted adjacency of G, edge weights taken from the metric."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v in chain(self.g_edges, extra):
+        for u, v in self.g_edges:
             w = self.d_gamma(u, v)
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -183,16 +171,25 @@ def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
     lazily and in order.
 
     A pair that is itself an edge of G + S is within its limit.  The
-    others get one bound check over G + S per distinct first endpoint u
-    (``graph.exceeding``): it clears a pair at its first path within the
-    limit and stops once every pair of u is cleared or past its limit.
+    others of each first endpoint u get a bound check (``graph.exceeding``)
+    over the G + S edges on Gamma at their Gamma weights, upper bounds of
+    d_Gamma: a pair cleared there is cleared in G + S.  The pairs left are
+    checked again over G + S at exact weights, each row read on first use.
     """
-    s = frozenset(s)
-    adj, limit, present = inst.g_adjacency(s), inst.limit, inst.g_edges | s
-    open_pairs = [e for e in sorted(inst.gamma.edges) if e not in present]
+    gamma, present = inst.gamma, inst.g_edges.union(s)
+    upper: list[list[tuple[int, float]]] = [[] for _ in range(inst.n)]
+    for a, b in present:  # an edge off Gamma has no such bound: inf
+        w = gamma.weight.get((a, b), 1) if (a, b) in gamma.edges else INF
+        upper[a].append((b, w))
+        upper[b].append((a, w))
+    exact = _Rows(lambda a: [(b, inst.d_gamma(a, b)) for b, _ in upper[a]])
+    open_pairs = [e for e in sorted(gamma.edges) if e not in present]
     for u, pairs in groupby(open_pairs, key=itemgetter(0)):
-        for v in sorted(exceeding(adj, u, {x: limit[u, x] for _, x in pairs})):
-            yield u, v
+        limit = {x: stretch_limit(inst.d_gamma(u, x), inst.t) for _, x in pairs}
+        suspects = exceeding(upper, u, limit, inst.n)
+        if suspects:  # a check with no bound still allocates its n-lists
+            for v in sorted(exceeding(exact, u, {x: limit[x] for x in suspects}, inst.n)):
+                yield u, v
 
 
 def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> frozenset[Edge]:
@@ -209,14 +206,15 @@ class ConflictChecker:
     """Conflict checks of G + S for many small sets S.
 
     Built once per engine call, it computes no row of distances in G
-    (``dist``) or Gamma (``inst.gamma_rows``) before its first read.  The
-    base conflict pairs are the open Gamma edges (not in G) above their
-    ``inst.limit`` in G.  Adding edges only shortens distances, so no
-    other pair can conflict once S is added, and a check of S + S' needs
-    only the pairs still pending for S.  ``violated`` is the one query: it
-    finds the pairs S leaves in conflict, exactly, through the distances
-    among S's endpoints; a caller takes their ``frozenset``, or asks
-    ``next`` for a yes/no answer that stops at the first conflict.
+    (``dist``) or Gamma (``inst.gamma_rows``) before its first read.
+    ``limit`` holds the ``stretch_limit`` of each Gamma edge, and the base
+    conflict pairs are the open Gamma edges (not in G) above it in G.
+    Adding edges only shortens distances, so no other pair can conflict
+    once S is added, and a check of S + S' needs only the pairs still
+    pending for S.  ``violated`` is the one query: it finds the pairs S
+    leaves in conflict, exactly, through the distances among S's
+    endpoints; a caller takes their ``frozenset``, or asks ``next`` for a
+    yes/no answer that stops at the first conflict.
     ``ellipse_masks`` gives the quick necessary condition a search tests
     first, and ``ellipse_union`` the candidates that can pass it.
     """
@@ -225,9 +223,10 @@ class ConflictChecker:
         self.inst = inst
         self.dg = inst.gamma_rows
         self.dist = _Rows(partial(dijkstra, inst.g_adjacency()))
-        limit, present = inst.limit, inst.g_edges
-        self.pairs = [(u, v) for u, v in sorted(inst.gamma.edges)
-                      if (u, v) not in present and self.dist[u][v] > limit[u, v]]
+        self.limit = {(u, v): stretch_limit(inst.d_gamma(u, v), inst.t)
+                      for u, v in inst.gamma.edges}
+        self.pairs = [(u, v) for (u, v), lim in sorted(self.limit.items())
+                      if (u, v) not in inst.g_edges and self.dist[u][v] > lim]
 
     def ellipse_masks(self, candidates: Sequence[Edge],
                       pairs: Iterable[Edge]) -> list[int]:
@@ -241,7 +240,7 @@ class ConflictChecker:
         weighted = [(a, b, dg[a][b]) for a, b in candidates]
         masks = []
         for u, v in pairs:
-            du, dv, limit = dg[u], dg[v], self.inst.limit[u, v]
+            du, dv, limit = dg[u], dg[v], self.limit[u, v]
             mask = 0
             for i, (a, b, w) in enumerate(weighted):
                 if min(du[a] + dv[b], du[b] + dv[a]) + w <= limit:
@@ -257,7 +256,7 @@ class ConflictChecker:
         dg, present, n = self.dg, self.inst.g_edges, self.inst.n
         union: set[Edge] = set()
         for u, v in pairs:
-            du, dv, limit = dg[u], dg[v], self.inst.limit[u, v]
+            du, dv, limit = dg[u], dg[v], self.limit[u, v]
             inside = [a for a in range(n) if du[a] + dv[a] <= limit]
             near = [e for e in combinations(inside, 2) if e not in present]
             [mask] = self.ellipse_masks(near, [(u, v)])
@@ -285,7 +284,7 @@ class ConflictChecker:
             close = [[min(cxy, row[ia] + w + cby, row[ib] + w + cay)
                       for cxy, cay, cby in zip(row, row_a, row_b)]
                      for row in close]
-        limit = self.inst.limit
+        limit = self.limit
         for u, v in self.pairs if pairs is None else pairs:
             du, dv = dist[u], dist[v]
             to_v = [dv[y] for y in terms]

@@ -51,20 +51,26 @@ def nx_apsp(n: int, edges, weights=None) -> dict:
             for u in range(n) for v in range(n)}
 
 
+def gamma_apsp(inst: Instance) -> dict:
+    """d_Gamma over all pairs, by networkx over Gamma's weighted edges."""
+    return nx_apsp(inst.n, inst.gamma.edges, inst.gamma.weight)
+
+
 def embedded_apsp(inst: Instance, s=()) -> dict:
-    """All-pairs distances of G+S under the metric-embedded weights."""
+    """All-pairs distances of G+S, each edge weighted by its d_Gamma; both
+    come from networkx, not from the library's metric."""
+    dg = gamma_apsp(inst)
     edges = set(inst.g_edges) | {norm_edge(u, v) for u, v in s}
-    weights = {e: inst.dist_gamma[e[0]][e[1]] for e in edges}
-    return nx_apsp(inst.n, edges, weights)
+    return nx_apsp(inst.n, edges, {e: dg[e] for e in edges})
 
 
 def all_pairs_within_stretch(inst: Instance, s=()) -> bool:
-    dist = embedded_apsp(inst, s)
+    dist, dg = embedded_apsp(inst, s), gamma_apsp(inst)
     t = inst.t
     for u in range(inst.n):
         for v in range(u + 1, inst.n):
             d = dist[(u, v)]
-            if d == math.inf or t.denominator * d > t.numerator * inst.dist_gamma[u][v]:
+            if d == math.inf or t.denominator * d > t.numerator * dg[(u, v)]:
                 return False
     return True
 

@@ -47,16 +47,19 @@ def test_criterion_1_adjacent_check_equals_full_check():
     start = time.perf_counter()
     rng = random.Random(10001)
     mismatches = 0
-    for _ in range(1000):
-        inst = random_instance(rng, n_max=8, k_max=2)
+    # Unweighted draws have no Gamma edge longer than its d_Gamma; the
+    # weighted ones do, so they reach the scan's exact pass.
+    draws = [{}] * 1000 + [{"ts": STRETCHES, "max_weight": 10}] * 200
+    for kwargs in draws:
+        inst = random_instance(rng, n_max=8, k_max=2, **kwargs)
         s = random_solution(rng, inst)
         if is_conflict_free(inst, s) != all_pairs_within_stretch(inst, s):
             mismatches += 1
     elapsed = time.perf_counter() - start
     _report(1, "adjacent-pair check equivalent to all-pairs stretch check",
             mismatches == 0 and elapsed < 60,
-            f"1000 instances, {mismatches} mismatches, {elapsed:.1f}s, "
-            f"tolerance: exact, < 60s")
+            f"1200 instances (200 weighted), {mismatches} mismatches, "
+            f"{elapsed:.1f}s, tolerance: exact, < 60s")
 
 
 def _weighted_corpus(seed: int, count: int):

@@ -241,10 +241,10 @@ class TestVerify:
         assert text.startswith("invalid conflict")
 
     def test_large_weighted_verify_builds_no_full_table(self, tmp_path, monkeypatch):
-        # verify reads d_Gamma only for the pairs it needs; the n x n table
-        # (n Dijkstra runs) must stay unbuilt.  S is G's conflict set as
-        # the table gives it, so G + S is valid and every other Gamma
-        # pair is scanned.
+        # verify reads d_Gamma only for the pairs it needs, with no full
+        # row of it (n of them would be the n x n table).  S is G's
+        # conflict set, so G + S is valid and every other Gamma pair is
+        # scanned.
         rng = random.Random(500)
         n = 500
         gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
@@ -252,27 +252,55 @@ class TestVerify:
         dropped = rng.sample(gamma_edges, len(gamma_edges) // 3)
         chords = {norm_edge(*rng.sample(range(n), 2)) for _ in range(n // 10)}
         g_edges = (set(gamma_edges) - set(dropped)) | (chords - gamma.edges)
-        table_built = build_instance(gamma, g_edges, len(dropped), Fraction(3, 2))
-        assert table_built.dist_gamma
-        s = adjacent_conflicts(table_built)
+        source = build_instance(gamma, g_edges, len(dropped), Fraction(3, 2))
+        s = adjacent_conflicts(source)
         assert s
 
         built = parsed_instances(monkeypatch)
         inst_file, sol_file = tmp_path / "big.dilaug", tmp_path / "big.sol"
-        inst_file.write_text(serialize_instance(table_built))
+        inst_file.write_text(serialize_instance(source))
         sol_file.write_text(serialize_solution(s))
         code, text = cli("verify", "--input", str(inst_file), "--solution", str(sol_file))
         assert (code, text) == (EXIT_YES, "valid\n")
         [inst] = built
-        assert "dist_gamma" not in inst.__dict__
-        # Not one full row either: each G edge, G chords included, and
-        # each limit is read from a run that stops at its targets.
+        # Not one full row: each limit, and each G edge the scan reaches,
+        # G chords included, is read from a run that stops at its targets.
         assert not inst.gamma_rows
+
+    def test_verify_runs_gamma_only_from_open_pairs(self, tmp_path, monkeypatch):
+        # Every Gamma edge weighs 3, so each is a shortest path, and G has
+        # no chord: the scan's first pass is exact and a valid S leaves no
+        # pair to re-check.  d_Gamma is read only for the open pairs'
+        # limits, by one run from each first end, and for no G edge.
+        rng = random.Random(502)
+        n = 40
+        gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
+        gamma = Graph(n, gamma_edges, dict.fromkeys(gamma_edges, 3))
+        g_edges = set(gamma_edges) - set(rng.sample(gamma_edges, len(gamma_edges) // 4))
+        source = build_instance(gamma, g_edges, n, Fraction(2))
+        s = adjacent_conflicts(source)
+        open_ends = sorted({u for u, _ in set(gamma_edges) - g_edges - s})
+        assert s and open_ends and {u for u, _ in g_edges} - set(open_ends)
+
+        inst_file, sol_file = tmp_path / "even.dilaug", tmp_path / "even.sol"
+        inst_file.write_text(serialize_instance(source))
+        sol_file.write_text(serialize_solution(s))
+        sources = []
+        real = Graph.weighted_distances
+
+        def counted(self, u, targets=None):
+            sources.append(u)
+            return real(self, u, targets)
+
+        monkeypatch.setattr(Graph, "weighted_distances", counted)
+        code, text = cli("verify", "--input", str(inst_file), "--solution", str(sol_file))
+        assert (code, text) == (EXIT_YES, "valid\n")
+        assert sources == open_ends
 
     def test_large_weighted_bounded_solve_builds_no_full_table(self, tmp_path, monkeypatch):
         # The conflict kernel reads the Gamma rows of one ellipse and the G
-        # rows of one pair: the n x n table must stay unbuilt, and the
-        # certificate is still brute's.
+        # rows of one pair: full Gamma rows come only from that pair's
+        # ends, and the certificate is still brute's.
         rng = random.Random(501)
         n = 500
         gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
@@ -292,7 +320,7 @@ class TestVerify:
         code, text = cli("solve", "--engine", "bounded-gamma", "--input", str(inst_file))
         assert (code, text) == (EXIT_YES, "YES\n" + serialize_solution(expected.solution))
         [inst] = built
-        assert "dist_gamma" not in inst.__dict__
+        assert set(inst.gamma_rows) <= set(dropped)  # the ends of the one conflict
 
 
 class TestGen:

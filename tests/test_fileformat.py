@@ -33,7 +33,7 @@ class TestParseInstance:
     def test_weights(self):
         inst = parse_instance("p dilaug 3 0 2\ne 1 2 4\ne 2 3 1\n")
         assert inst.gamma.weight == {(0, 1): 4}
-        assert inst.dist_gamma[0][2] == 5
+        assert inst.gamma_rows[0][2] == 5
 
     def test_labels_collected_on_request(self):
         labels = {}

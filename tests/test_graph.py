@@ -163,7 +163,7 @@ class TestDistances:
             st.integers(min_value=0, max_value=g.n - 1),
             st.one_of(st.integers(min_value=-1, max_value=40), st.just(10 ** 6))))
         full = g.weighted_distances(source)
-        assert exceeding(g._adj, source, bound) == {x for x in bound if full[x] > bound[x]}
+        assert exceeding(g._adj, source, bound, g.n) == {x for x in bound if full[x] > bound[x]}
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())

@@ -7,26 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilaug.graph import Graph
-from dilaug.model import (InstanceError, MetricUndefinedError, VerifyResult,
-                          adjacent_conflicts, build_instance,
+from dilaug.model import (ConflictChecker, InstanceError, MetricUndefinedError,
+                          VerifyResult, adjacent_conflicts, build_instance,
                           is_conflict_free, normalize_solution, stretch_limit,
                           verify_solution)
 from dilaug.randinst import random_instance, random_solution
 
-from conftest import all_pairs_within_stretch, embedded_apsp, searches
+from conftest import (all_pairs_within_stretch, embedded_apsp, gamma_apsp,
+                      nx_apsp, searches)
 
 
 class TestBuildInstance:
     def test_metric_table(self, triangle_path_instance):
         inst = triangle_path_instance
         assert inst.n == 3
-        assert inst.dist_gamma[0][2] == 1
-        assert inst.dist_gamma[0][0] == 0
+        assert inst.gamma_rows[0][2] == 1
+        assert inst.gamma_rows[0][0] == 0
 
     def test_weighted_metric(self):
         gamma = Graph(3, [(0, 1), (1, 2)], {(0, 1): 2, (1, 2): 3})
         inst = build_instance(gamma, [], 0, 1)
-        assert inst.dist_gamma[0][2] == 5
+        assert inst.gamma_rows[0][2] == 5
 
     def test_disconnected_gamma_rejected(self):
         with pytest.raises(MetricUndefinedError):
@@ -71,21 +72,23 @@ class TestLazyMetric:
         def fresh():
             return build_instance(inst.gamma, inst.g_edges, inst.k, inst.t)
 
-        table = fresh().dist_gamma
-        limit = {(u, v): stretch_limit(table[u][v], inst.t) for u, v in inst.gamma.edges}
-        weights = sorted((u, v, table[u][v]) for u, v in inst.g_edges | s)
-        dist = embedded_apsp(fresh(), s)  # networkx over the table's weights
+        table = gamma_apsp(inst)  # networkx, like embedded_apsp
+        limit = {e: stretch_limit(table[e], inst.t) for e in inst.gamma.edges}
+        weights = sorted((u, v, table[u, v]) for u, v in inst.g_edges)
+        dist = embedded_apsp(inst, s)
         conflicts = {e for e, lim in limit.items() if dist[e] > lim}
         expected = (VerifyResult(False, "conflict(%d,%d)" % min(conflicts))
                     if conflicts else VerifyResult(True))
 
         lazy = [fresh() for _ in range(4)]
-        assert lazy[0].limit == limit
-        assert sorted((u, v, w) for u, row in enumerate(lazy[1].g_adjacency(s))
+        assert ConflictChecker(lazy[0]).limit == limit
+        assert sorted((u, v, w) for u, row in enumerate(lazy[1].g_adjacency())
                       for v, w in row if u < v) == weights
         assert verify_solution(lazy[2], s) == expected
         assert adjacent_conflicts(lazy[3], s) == conflicts
-        assert all("dist_gamma" not in each.__dict__ for each in lazy)
+        # Only a pair off Gamma may read a full row, from its first end.
+        off_gamma = {u for u, _ in (inst.g_edges | s) - inst.gamma.edges}
+        assert all(set(each.gamma_rows) <= off_gamma for each in lazy)
 
 
 class TestStretchLimit:
@@ -126,6 +129,50 @@ class TestConflicts:
             assert is_conflict_free(inst, s) == all_pairs_within_stretch(inst, s)
 
 
+class TestTwoPassScan:
+    """The scan first bounds G + S by its Gamma edges at their Gamma weights,
+    then re-checks exactly the pairs that bound leaves above their limit."""
+
+    @staticmethod
+    def expected(inst, s=frozenset()):
+        """The pairs in conflict and the suspects, both by networkx."""
+        dist, dg = embedded_apsp(inst, s), gamma_apsp(inst)
+        upper = nx_apsp(inst.n, (inst.g_edges | s) & inst.gamma.edges, inst.gamma.weight)
+        limit = {e: stretch_limit(dg[e], inst.t) for e in inst.gamma.edges - inst.g_edges - s}
+        return ({e for e, lim in limit.items() if dist[e] > lim},
+                {e for e, lim in limit.items() if upper[e] > lim})
+
+    def test_cleared_by_an_edge_shorter_than_its_weight(self):
+        # d_Gamma(0, 2) = 2 through vertex 1, below the weight 5 of the G
+        # edge (0, 2); only that edge brings (0, 3) within 3/2 * 3.
+        weights = {(0, 1): 1, (1, 2): 1, (0, 2): 5, (2, 3): 1, (0, 3): 3}
+        inst = build_instance(Graph(4, weights, weights), [(0, 1), (0, 2), (2, 3)],
+                              0, Fraction(3, 2))
+        conflicts, suspects = self.expected(inst)
+        assert conflicts == {(1, 2)} and suspects == {(0, 3), (1, 2)}
+        assert adjacent_conflicts(inst) == conflicts
+
+    @staticmethod
+    def chord_instance():
+        """(0, 2) is a G edge off Gamma, and only it brings (0, 3) within
+        3/2 * 3."""
+        weights = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 3}
+        return build_instance(Graph(4, weights, weights), [(0, 2), (2, 3)],
+                              1, Fraction(3, 2))
+
+    def test_cleared_by_a_chord(self):
+        inst = self.chord_instance()
+        conflicts, suspects = self.expected(inst)
+        assert conflicts == {(0, 1), (1, 2)} and (0, 3) in suspects
+        assert adjacent_conflicts(inst) == conflicts
+
+    def test_suspect_before_the_least_conflict(self):
+        inst, s = self.chord_instance(), frozenset({(0, 1)})
+        conflicts, suspects = self.expected(inst, s)
+        assert conflicts == {(1, 2)} and min(suspects) == (0, 3)
+        assert verify_solution(inst, s) == VerifyResult(False, "conflict(1,2)")
+
+
 class TestDilation:
     """Dilation <= t exactly when no Gamma edge is in conflict."""
 
@@ -157,10 +204,8 @@ class TestDilation:
         for _ in range(60):
             inst = random_instance(rng, n_max=6, k_max=2)
             s = random_solution(rng, inst)
-            dist = embedded_apsp(inst, s)
-            for u in range(inst.n):
-                for v in range(inst.n):
-                    assert dist[(u, v)] >= inst.dist_gamma[u][v]
+            dist, dg = embedded_apsp(inst, s), gamma_apsp(inst)
+            assert all(dist[pair] >= d for pair, d in dg.items())
 
 
 class TestVerify:
