@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage, parse or
-engine-inapplicability errors, 3 = the engine could not answer (the kdd
-contract was broken, a search cap was hit, or a YES certificate failed
-verification), or --d is below 1, whatever the engine.  Output is
-deterministic for fixed inputs, engine and seed; ``auto`` routes on the
-instance alone, so its output is brute's whatever the flags.
+Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage, parse, file
+read or write, or engine-inapplicability errors, 3 = the engine could not
+answer (the kdd contract was broken, a search cap was hit, or a YES
+certificate failed verification), or --d is below 1, whatever the engine.
+Output is deterministic for fixed inputs, engine and seed; ``auto`` routes
+on the instance alone, so its output is brute's whatever the flags.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class CliError(Exception):
 def _pick_auto(inst: Instance) -> str:
     if structured.tree_inapplicable(inst) is None:
         return "tree"
-    if inst.gamma.max_degree() <= max_degree(inst.g_edges):
+    if max_degree(inst.gamma.edges) <= max_degree(inst.g_edges):
         return "bounded-gamma"
     return "bounded-g"
 
@@ -72,8 +72,8 @@ def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
 
 def _parse_file(path: str, parse, *args):
     try:
-        return parse(Path(path).read_text(), *args)
-    except OSError as exc:
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except ParseError as exc:
         raise CliError(f"{path}: {exc}")
@@ -133,8 +133,11 @@ def cmd_gen(args, out) -> int:
     body = serialize_instance(gen.instance)
     labels = "".join(f"l {v + 1} {gen.labels[v]}\n" for v in sorted(gen.labels))
     if args.output:
-        Path(args.output).write_text(body)
-        Path(args.output + ".labels").write_text(labels)
+        try:
+            Path(args.output).write_text(body, encoding="utf-8")
+            Path(args.output + ".labels").write_text(labels, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}")
         out.write(f"wrote {args.output} and {args.output}.labels\n")
     else:
         out.write(body)

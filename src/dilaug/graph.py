@@ -147,9 +147,6 @@ class Graph:
     def neighbors(self, u: int) -> list[int]:
         return [v for v, _ in self._adj[u]]
 
-    def max_degree(self) -> int:
-        return max((len(row) for row in self._adj), default=0)
-
     def is_unweighted(self) -> bool:
         return not self.weight
 
@@ -231,16 +228,17 @@ def max_degree(edges: Iterable[Edge]) -> int:
     return max(Counter(x for e in edges for x in e).values(), default=0)
 
 
-def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
-    """Maximal matching via greedy scan over edges in lexicographic order.
+def greedy_maximal_matching(edges: Iterable[Edge]) -> frozenset[Edge]:
+    """Maximal matching of the normalized edge set ``edges`` via greedy scan
+    in lexicographic order.
 
-    Deterministic; the endpoint set of the result is a vertex cover of g,
-    and the size is at least half of a maximum matching.
+    Deterministic; the endpoint set of the result is a vertex cover of the
+    edges, and the size is at least half of a maximum matching.
     """
-    used = [False] * g.n
+    used: set[int] = set()
     matching = []
-    for u, v in sorted(g.edges):
-        if not used[u] and not used[v]:
-            used[u] = used[v] = True
+    for u, v in sorted(edges):
+        if u not in used and v not in used:
+            used.update((u, v))
             matching.append((u, v))
     return frozenset(matching)

@@ -262,8 +262,7 @@ def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdi
     conflicts = frozenset(root.pairs)
     if not conflicts:
         return Verdict.of(())
-    cgraph = Graph(inst.n, conflicts)
-    matching = greedy_maximal_matching(cgraph)
+    matching = greedy_maximal_matching(conflicts)
     if len(matching) > 2 * inst.k:
         return Verdict.no()
     r = tuple(sorted({x for e in matching for x in e}))

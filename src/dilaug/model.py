@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations, groupby
 from operator import add, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator
 
 from .graph import INF, Edge, Graph, dijkstra, exceeding, norm_edge
 
@@ -37,15 +37,15 @@ class InstanceError(ValueError):
 
 
 class _Rows(dict):
-    """Source -> a full distance row from it, computed on first read; a
-    hit runs no Python code."""
+    """Key -> the value measured from it on first read: a distance row by
+    source, or a conflict pair's ellipse; a hit runs no Python code."""
 
-    def __init__(self, measure: Callable[[int], list[float]]):
+    def __init__(self, measure: Callable):
         self.measure = measure
 
-    def __missing__(self, source: int) -> list[float]:
-        row = self[source] = self.measure(source)
-        return row
+    def __missing__(self, key):
+        value = self[key] = self.measure(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,22 @@ def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
     return next(_violations(inst, s), None) is None
 
 
+def _ellipse(inst: Instance, limit: dict[Edge, int], pair: Edge) -> frozenset[Edge]:
+    """The non-edges (a, b) of G in the metric ellipse of ``pair`` (u, v),
+    whose ``stretch_limit`` is ``limit[pair]``: d(u, a) + d(a, b) + d(b, v)
+    <= t * d(u, v), in either orientation, with d = d_Gamma.  Every edge
+    weighs its d_Gamma, so by the triangle inequality a set S that fixes
+    (u, v) contains such an edge, and both its ends lie in the vertex
+    ellipse d(u, a) + d(a, v) <= t * d(u, v): only pairs inside it are
+    tested."""
+    dg, present = inst.gamma_rows, inst.g_edges
+    du, dv, bound = dg[pair[0]], dg[pair[1]], limit[pair]
+    inside = [a for a in range(inst.n) if du[a] + dv[a] <= bound]
+    return frozenset((a, b) for a, b in combinations(inside, 2)
+                     if (a, b) not in present
+                     and min(du[a] + dv[b], du[b] + dv[a]) + dg[a][b] <= bound)
+
+
 class ConflictChecker:
     """Conflict checks of G + S for many small sets S.
 
@@ -215,8 +231,10 @@ class ConflictChecker:
     leaves in conflict, exactly, through the distances among S's
     endpoints; a caller takes their ``frozenset``, or asks ``next`` for a
     yes/no answer that stops at the first conflict.
-    ``ellipse_masks`` gives the quick necessary condition a search tests
-    first, and ``ellipse_union`` the candidates that can pass it.
+    ``ellipses[pair]`` holds the non-edges of G in the pair's metric
+    ellipse, built once on first read: a set that fixes the pair meets it,
+    the quick necessary condition a search tests first.  ``ellipse_union``
+    is the candidates that can pass it.
     """
 
     def __init__(self, inst: Instance):
@@ -227,41 +245,11 @@ class ConflictChecker:
                       for u, v in inst.gamma.edges}
         self.pairs = [(u, v) for (u, v), lim in sorted(self.limit.items())
                       if (u, v) not in inst.g_edges and self.dist[u][v] > lim]
-
-    def ellipse_masks(self, candidates: Sequence[Edge],
-                      pairs: Iterable[Edge]) -> list[int]:
-        """One bitmask over ``candidates`` per conflict pair (u, v) of ``pairs``:
-        bit i is set when candidate (a, b) lies in the metric ellipse
-        d(u, a) + d(a, b) + d(b, v) <= t * d(u, v), in either orientation,
-        with d = d_Gamma.  Every edge weighs its d_Gamma, so by the triangle
-        inequality a set S that fixes (u, v) contains such a candidate.
-        """
-        dg = self.dg
-        weighted = [(a, b, dg[a][b]) for a, b in candidates]
-        masks = []
-        for u, v in pairs:
-            du, dv, limit = dg[u], dg[v], self.limit[u, v]
-            mask = 0
-            for i, (a, b, w) in enumerate(weighted):
-                if min(du[a] + dv[b], du[b] + dv[a]) + w <= limit:
-                    mask |= 1 << i
-            masks.append(mask)
-        return masks
+        self.ellipses = _Rows(partial(_ellipse, inst, self.limit))  # no cycle through self
 
     def ellipse_union(self, pairs: Iterable[Edge]) -> list[Edge]:
-        """The non-edges of G in the ellipse of some pair of ``pairs``,
-        sorted.  Both ends of an ellipse edge lie in the pair's vertex
-        ellipse d(u, a) + d(a, v) <= t * d(u, v): only pairs inside it are
-        tested."""
-        dg, present, n = self.dg, self.inst.g_edges, self.inst.n
-        union: set[Edge] = set()
-        for u, v in pairs:
-            du, dv, limit = dg[u], dg[v], self.limit[u, v]
-            inside = [a for a in range(n) if du[a] + dv[a] <= limit]
-            near = [e for e in combinations(inside, 2) if e not in present]
-            [mask] = self.ellipse_masks(near, [(u, v)])
-            union.update(e for i, e in enumerate(near) if mask >> i & 1)
-        return sorted(union)
+        """The non-edges of G in the ellipse of some pair of ``pairs``, sorted."""
+        return sorted(set().union(*(self.ellipses[p] for p in pairs)))
 
     def violated(self, s: Collection[Edge] = (),
                  pairs: Iterable[Edge] | None = None) -> Iterator[Edge]:

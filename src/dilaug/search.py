@@ -24,11 +24,13 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
                         candidates: Sequence[Edge], k: int,
                         committed: Collection[Edge] = frozenset()
                         ) -> frozenset[Edge] | None:
-    """First subset S of ``candidates`` (|S| <= k), in the canonical order,
-    such that G + committed + S is conflict-free; None if there is none.
+    """First subset S of ``candidates``, non-edges of G (|S| <= k), in the
+    canonical order, such that G + committed + S is conflict-free; None if
+    there is none.
 
     ``conflicts`` is the set of pairs in conflict in G + committed.  Only
-    they get an ellipse mask, and only they are checked for each S.
+    they get an ellipse mask, the bits of the candidates in the checker's
+    ``ellipses`` of the pair, and only they are checked for each S.
 
     A combination is checked exactly only if it hits every ellipse mask.
     Each prefix of size - 1 intersects the masks it misses; the last index
@@ -40,7 +42,8 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
     ordered = sorted(candidates)
     base = sorted(committed)
     pending = sorted(conflicts)
-    masks = checker.ellipse_masks(ordered, pending)
+    at = {e: i for i, e in enumerate(ordered)}
+    masks = [sum(1 << at[e] for e in checker.ellipses[p] if e in at) for p in pending]
     m = len(ordered)
     for size in range(1, k + 1):
         for prefix in combinations(range(m - 1), size - 1):

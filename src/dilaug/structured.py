@@ -77,7 +77,7 @@ def _solve_bounded(inst: Instance, delta: int) -> Verdict:
 
 def solve_bounded_gamma(inst: Instance) -> Verdict:
     """FPT engine parameterized by the maximum degree of Gamma."""
-    return _solve_bounded(inst, inst.gamma.max_degree())
+    return _solve_bounded(inst, max_degree(inst.gamma.edges))
 
 
 def solve_bounded_g(inst: Instance) -> Verdict:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from dilaug.cli import run as cli_run
 from dilaug.fileformat import serialize_instance
-from dilaug.graph import Graph, ball
+from dilaug.graph import Graph, ball, max_degree
 from dilaug.kdd import BranchStats, f_value, solve_kdd
 from dilaug.model import adjacent_conflicts, is_conflict_free, verify_solution
 from dilaug.oracle import solve_min
@@ -148,7 +148,7 @@ def test_criterion_5_minimum_solutions_are_local():
         if not set(vc) <= set(ball(inst.gamma, vs, t_floor)):
             violations += 1
         shadow = Graph(inst.n, inst.g_edges)
-        if shadow.max_degree() > 0 and \
+        if max_degree(inst.g_edges) > 0 and \
                 not set(vs) <= set(ball(shadow, vc, t_floor * t_floor)):
             violations += 1
     _report(5, "minimum solutions stay within floor(t) Gamma-hops of the "
@@ -195,7 +195,7 @@ def test_criterion_6_generator_structure_and_lifts():
     problems.append(inst.t == Fraction(5, 2))
     problems.append({inst.gamma.weight.get(e, 1)
                      for e in inst.gamma.edges} == {1, 12})
-    problems.append(Graph(inst.n, inst.g_edges).max_degree() <= 3)
+    problems.append(max_degree(inst.g_edges) <= 3)
     problems.append(verify_solution(inst, lift_witness(src, {(0, 3)})).ok)
 
     h = Graph(3, [(0, 1), (1, 2), (0, 2)])

@@ -442,3 +442,35 @@ class TestUsage:
     def test_unknown_engine_rejected_by_argparse(self, triangle_file):
         code, _ = cli("solve", "--engine", "magic", "--input", triangle_file)
         assert code == EXIT_USAGE
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends in one ``error:`` line and
+    exit 2, never in a traceback or in exit 1, which means a proven NO."""
+
+    @staticmethod
+    def check(capsys, argv, message):
+        code, text = cli(*argv)
+        err = capsys.readouterr().err
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_missing_input(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.dilaug")
+        self.check(capsys, ["solve", "--input", path], f"cannot read {path}: ")
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "gen"])
+    def test_file_that_is_not_utf8(self, command, tmp_path, triangle_file, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"p dilaug 3 1 2\n\xff\n")
+        argv = {"solve": ["solve", "--input", str(path)],
+                "verify": ["verify", "--input", triangle_file, "--solution", str(path)],
+                "gen": ["gen", "domset", "--source", str(path)]}[command]
+        self.check(capsys, argv, f"cannot read {path}: ")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        src.write_text(DOMSET_SOURCE)
+        dest = str(tmp_path / "no-such-dir" / "out.dilaug")
+        self.check(capsys, ["gen", "domset", "--source", str(src), "--output", dest],
+                   f"cannot write {dest}: ")

@@ -4,7 +4,7 @@ Instances come from conftest's ``searches``: weighted Gamma (weights
 1-4), t from ``randinst.STRETCHES`` and random committed edges.  The
 kernel holds G alone; the committed edges reach it only through the sets
 it checks, and the pairs pending at a set through the pairs passed to
-``violated``.
+``violated``.  Each pair's ellipse is built once per kernel.
 """
 
 import math
@@ -13,6 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilaug import model
 from dilaug.graph import INF, ball
 from dilaug.model import (ConflictChecker, adjacent_conflicts,
                           is_conflict_free, stretch_limit)
@@ -20,7 +21,7 @@ from dilaug.oracle import solve_min
 from dilaug.randinst import STRETCHES
 from dilaug.search import first_conflict_free, iter_subsets
 
-from conftest import searches
+from conftest import far_bridge_instance, gamma_apsp, searches
 
 
 def naive_first(inst, candidates, k, committed):
@@ -74,13 +75,43 @@ def test_pending_pairs_of_a_subset_give_the_same_analysis(case):
 @given(searches())
 def test_ellipse_filter_never_rejects_a_solution(case):
     inst, committed, candidates = case
-    ordered = sorted(candidates)
     checker = ConflictChecker(inst)
-    masks = checker.ellipse_masks(ordered, checker.violated(sorted(committed)))
-    for s in iter_subsets(ordered, 3):
+    pending = list(checker.violated(sorted(committed)))
+    for s in iter_subsets(candidates, 3):
         if is_conflict_free(inst, committed.union(s)):
-            bits = sum(1 << ordered.index(e) for e in s)
-            assert all(mask & bits for mask in masks)
+            assert all(checker.ellipses[p].intersection(s) for p in pending)
+
+
+@settings(max_examples=80, deadline=None)
+@given(searches(max_weight=10))
+def test_ellipse_is_every_non_edge_within_the_limit(case):
+    # networkx's d_Gamma over every non-edge of G, with no vertex-ellipse
+    # prefilter: the kernel's prefilter must drop no ellipse edge.
+    inst, _, _ = case
+    checker = ConflictChecker(inst)
+    d = gamma_apsp(inst)
+    for u, v in checker.pairs:
+        expected = {(a, b) for a, b in inst.non_edges()
+                    if min(d[u, a] + d[b, v], d[u, b] + d[a, v]) + d[a, b] <= inst.t * d[u, v]}
+        assert checker.ellipses[u, v] == expected
+
+
+def test_each_ellipse_is_built_once(monkeypatch):
+    built = []
+    real = model._ellipse
+
+    def counted(inst, limit, pair):
+        built.append(pair)
+        return real(inst, limit, pair)
+
+    monkeypatch.setattr(model, "_ellipse", counted)
+    inst = far_bridge_instance(3, 4, 2, 4)
+    checker = ConflictChecker(inst)
+    conflicts = frozenset(checker.pairs)
+    union = checker.ellipse_union(conflicts)
+    assert first_conflict_free(checker, conflicts, union, inst.k) == {(0, 1)}
+    assert checker.ellipse_union(conflicts) == union
+    assert sorted(built) == [(2, 4), (3, 5)]
 
 
 @settings(max_examples=80, deadline=None)
