@@ -1,4 +1,5 @@
-"""Undirected graphs with hop/weighted distances, balls and greedy matchings.
+"""Undirected graphs with hop/weighted distances, bounded pair queries
+(``within``), balls and greedy matchings.
 
 Vertices are dense integer ids ``0..n-1``.  Graphs are immutable after
 construction and safe to share between threads.  Unreachable vertices get
@@ -26,71 +27,58 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int,
-             targets: Iterable[int] | None = None,
-             light: Sequence[float] = ()) -> list[float]:
-    """Distances from ``source`` over a weighted adjacency list.
-
-    Given ``targets`` and ``light``, each vertex's lightest edge weight, the
-    run stops once dist[x] <= popped distance + light[x] for every target x
-    (other paths enter x from unsettled vertices); only their distances are
-    exact.  Once the source pops, all hold at stop = max(w(source, x) - light[x]).
-    """
+def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int) -> list[float]:
+    """Distances from ``source`` over a weighted adjacency list."""
     dist: list[float] = [INF] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
-    pending, stop = None, INF
-    if targets is not None:
-        pending, near = list(targets), dict(adj[source])
-        stop = max((near[x] - light[x] if x in near else INF for x in pending), default=INF)
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
-        if pending is not None:
-            while pending and dist[pending[-1]] <= du + light[pending[-1]]:
-                pending.pop()  # decided for good, so only the last needs a look
-            if not pending:
-                break
         for v, wt in adj[u]:
             nd = du + wt
             if nd < dist[v]:
                 dist[v] = nd
-                if nd < stop:  # no vertex at or past stop is ever expanded
-                    heapq.heappush(heap, (nd, v))
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
-def exceeding(adj: Mapping[int, Sequence[tuple[int, int]]] | Sequence[Sequence[tuple[int, int]]],
-              source: int, bound: dict[int, int], n: int) -> set[int]:
-    """The vertices x of ``bound`` farther from ``source`` than ``bound[x]``.
+def within(adj: Mapping[int, Sequence[tuple[int, float]]] | Sequence[Sequence[tuple[int, float]]],
+           s: int, t: int, cap: float, first: bool = False) -> float:
+    """d(s, t) over ``adj`` if it is at most ``cap``, else INF; with
+    ``first``, the length of the first path within ``cap`` found instead.
 
-    x is cleared at its first tentative distance within its bound; the run
-    stops once all are cleared and never pushes past the largest open bound.
-    Of the ``n`` vertices, it reads the row ``adj[u]`` of those it expands.
+    Dijkstra runs from both ends, each pop from the side whose heap top is
+    smaller, and pushes no distance past ``cap``.  Labelling a vertex that
+    the other side has labelled is a meeting: a path.  The run stops once
+    the two tops sum to at least the best meeting, since a shorter path
+    would have met at a vertex both sides have already labelled, or to
+    more than ``cap``.  It reads the row ``adj[u]`` of each vertex it
+    expands, so ``adj`` may be a lazy mapping.
     """
-    cap = [-1] * n  # the bound of each open vertex, -1 for the others
-    left = {x for x, b in bound.items() if x != source or b < 0}
-    for x in left:
-        cap[x] = bound[x]
-    stop = max((cap[x] for x in left), default=-1)
-    dist: list[float] = [INF] * n
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap and heap[0][0] < stop:  # a vertex at stop reaches none within it
+    if s == t:
+        return 0 if cap >= 0 else INF
+    ds, dt, hs, ht = {s: 0}, {t: 0}, [(0, s)], [(0, t)]
+    best = INF
+    while hs and ht:
+        a, b = hs[0][0], ht[0][0]
+        if a + b >= best or a + b > cap:
+            break
+        mine, other, heap = (ds, dt, hs) if a <= b else (dt, ds, ht)
         du, u = heapq.heappop(heap)
-        if du > dist[u]:
+        if du > mine[u]:
             continue
         for v, wt in adj[u]:
             nd = du + wt
-            if nd < dist[v] and nd <= stop:
-                dist[v] = nd
+            if nd <= cap and nd < mine.get(v, INF):
+                mine[v] = nd
                 heapq.heappush(heap, (nd, v))
-                if nd <= cap[v]:
-                    left.remove(v)
-                    cap[v] = -1
-                    stop = max((cap[x] for x in left), default=-1)
-    return left
+                if v in other and nd + other[v] < best:
+                    best = nd + other[v]
+                    if first and best <= cap:
+                        return best
+    return best if best <= cap else INF
 
 
 def find(parent: list[int], x: int) -> int:
@@ -104,11 +92,11 @@ def find(parent: list[int], x: int) -> int:
 class Graph:
     """Simple undirected graph with optional positive integer edge weights.
 
-    A missing weight entry means weight 1, and ``light[x]`` is the lightest
-    edge weight at x (inf if none).  No self-loops, no parallel edges.
+    A missing weight entry means weight 1, and ``adj[u]`` lists u's
+    (neighbour, weight) pairs in order.  No self-loops, no parallel edges.
     """
 
-    __slots__ = ("n", "edges", "weight", "light", "_adj")
+    __slots__ = ("n", "edges", "weight", "adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  weight: dict[Edge, int] | None = None):
@@ -128,7 +116,7 @@ class Graph:
             e = (u, v) if u < v else (v, u)
             if e not in normed:
                 raise GraphError(f"weight given for non-edge {e}")
-            if wt != int(wt) or wt < 1:
+            if not 1 <= wt < INF or wt != int(wt):  # NaN fails the first test
                 raise GraphError(f"weight of {e} must be a positive integer")
             if wt != 1:
                 w[e] = int(wt)
@@ -140,12 +128,10 @@ class Graph:
             adj[v].append((u, wt))
         for row in adj:
             row.sort()
-        self._adj = adj
-        self.light: list[float] = [min([wt for _, wt in row], default=INF) if w
-                                   else 1 if row else INF for row in adj]
+        self.adj = adj
 
     def neighbors(self, u: int) -> list[int]:
-        return [v for v, _ in self._adj[u]]
+        return [v for v, _ in self.adj[u]]
 
     def is_unweighted(self) -> bool:
         return not self.weight
@@ -163,17 +149,16 @@ class Graph:
         while queue:
             u = queue.popleft()
             du = dist[u]
-            for v, _ in self._adj[u]:
+            for v, _ in self.adj[u]:
                 if dist[v] is INF:
                     dist[v] = du + 1
                     queue.append(v)
         return dist
 
-    def weighted_distances(self, source: int,
-                           targets: Iterable[int] | None = None) -> list[float]:
+    def weighted_distances(self, source: int) -> list[float]:
         """``dijkstra`` from ``source`` under this graph's edge weights."""
         self._check_source(source)
-        return dijkstra(self._adj, source, targets, self.light)
+        return dijkstra(self.adj, source)
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -216,7 +201,7 @@ def ball(g: Graph, w: Sequence[int], radius: int) -> list[int]:
         du = seen[u]
         if du == radius:
             continue
-        for v, _ in g._adj[u]:
+        for v, _ in g.adj[u]:
             if v not in seen:
                 seen[v] = du + 1
                 queue.append(v)

@@ -6,9 +6,9 @@ comparison as one integer limit per Gamma edge (``stretch_limit``);
 floating point never touches a threshold decision.
 
 The metric is lazy: an instance computes d_Gamma only for the pairs and
-rows it is asked about, with Dijkstra runs that stop once those pairs are
-decided; the conflict scan reads it only where Gamma's own edge weights,
-as upper bounds, leave a pair undecided.
+rows it is asked about, each pair with one bounded bidirectional query
+(``graph.within``); the conflict scan reads it only where Gamma's own edge
+weights, as upper bounds, leave a pair undecided.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, combinations, groupby
-from operator import add, itemgetter
+from itertools import combinations
+from operator import add
 from typing import Callable, Collection, Iterable, Iterator
 
-from .graph import INF, Edge, Graph, dijkstra, exceeding, norm_edge
+from .graph import INF, Edge, Graph, dijkstra, norm_edge, within
 
 Stretch = Fraction
 
@@ -38,7 +38,8 @@ class InstanceError(ValueError):
 
 class _Rows(dict):
     """Key -> the value measured from it on first read: a distance row by
-    source, or a conflict pair's ellipse; a hit runs no Python code."""
+    source, a pair's d_Gamma, or a conflict pair's ellipse; a hit runs no
+    Python code."""
 
     def __init__(self, measure: Callable):
         self.measure = measure
@@ -74,36 +75,29 @@ class Instance:
         return _Rows(gamma.hop_distances if gamma.is_unweighted() else gamma.weighted_distances)
 
     @cached_property
-    def _targets(self) -> dict[int, set[int]]:
-        """Source u -> the v > u that u's run decides: Gamma edges of weight
-        above 2 and, on weighted Gamma only, G chords (G edges off Gamma)."""
-        gamma, targets = self.gamma, {}
-        chords = self.g_edges - gamma.edges if gamma.weight else ()
-        for u, v in chain((e for e, w in gamma.weight.items() if w > 2), chords):
-            targets.setdefault(u, set()).add(v)
-        return targets
-
-    @cached_property
-    def _rows(self) -> dict[int, list[float]]:
-        """Source u -> a Dijkstra run from u over Gamma, exact at u's targets."""
-        gamma, targets = self.gamma, self._targets  # no cycle through self
-        return _Rows(lambda u: gamma.weighted_distances(u, targets[u]))
+    def _pairs(self) -> dict[Edge, float]:
+        """Pair -> d_Gamma, by one memoised ``within`` query over Gamma that
+        never looks past the pair's Gamma weight (INF off Gamma)."""
+        adj, weight = self.gamma.adj, self.gamma.weight  # no cycle through self
+        return _Rows(lambda e: within(adj, e[0], e[1], weight.get(e, INF)))
 
     def d_gamma(self, u: int, v: int) -> int:
         """d_Gamma(u, v), from the full row of min(u, v) if there is one.
 
-        Else a target of min(u, v) reads the memoised run from there, which
-        stops once its targets are final, and any other Gamma edge, of
-        weight <= 2, is a shortest path.  The rest, such as a solution edge
-        or a chord on unweighted Gamma (a BFS row), read a full row.
+        Else a Gamma edge of weight <= 2 is a shortest path, since every
+        other path has two edges of weight >= 1.  A heavier Gamma edge and,
+        on weighted Gamma, a G chord (a G edge off Gamma) read the pair's
+        memoised query.  The rest, such as a solution edge or a chord on
+        unweighted Gamma (a BFS row), read a full row.
         """
         u, v = norm_edge(u, v)
         gamma, full = self.gamma, self.gamma_rows
         if u not in full:
-            if v in self._targets.get(u, ()):
-                return self._rows[u][v]
             if (u, v) in gamma.edges:
-                return gamma.weight.get((u, v), 1)
+                w = gamma.weight.get((u, v), 1)
+                return w if w <= 2 else self._pairs[u, v]
+            if gamma.weight and (u, v) in self.g_edges:
+                return self._pairs[u, v]
         return full[u][v]
 
     def non_edges(self) -> list[Edge]:
@@ -170,11 +164,12 @@ def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
     """The Gamma-adjacent pairs whose G+S distance exceeds t * d_Gamma,
     lazily and in order.
 
-    A pair that is itself an edge of G + S is within its limit.  The
-    others of each first endpoint u get a bound check (``graph.exceeding``)
-    over the G + S edges on Gamma at their Gamma weights, upper bounds of
-    d_Gamma: a pair cleared there is cleared in G + S.  The pairs left are
-    checked again over G + S at exact weights, each row read on first use.
+    A pair that is itself an edge of G + S is within its limit.  Each
+    other (open) pair is first checked by ``within``, which stops at the
+    first path within the limit, over the G + S edges on Gamma at their
+    Gamma weights, upper bounds of d_Gamma: a pair cleared there is cleared
+    in G + S.  A pair left is checked again over G + S at exact weights,
+    each row weighted on first use.
     """
     gamma, present = inst.gamma, inst.g_edges.union(s)
     upper: list[list[tuple[int, float]]] = [[] for _ in range(inst.n)]
@@ -183,13 +178,11 @@ def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
         upper[a].append((b, w))
         upper[b].append((a, w))
     exact = _Rows(lambda a: [(b, inst.d_gamma(a, b)) for b, _ in upper[a]])
-    open_pairs = [e for e in sorted(gamma.edges) if e not in present]
-    for u, pairs in groupby(open_pairs, key=itemgetter(0)):
-        limit = {x: stretch_limit(inst.d_gamma(u, x), inst.t) for _, x in pairs}
-        suspects = exceeding(upper, u, limit, inst.n)
-        if suspects:  # a check with no bound still allocates its n-lists
-            for v in sorted(exceeding(exact, u, {x: limit[x] for x in suspects}, inst.n)):
-                yield u, v
+    for u, v in sorted(gamma.edges - present):
+        lim = stretch_limit(inst.d_gamma(u, v), inst.t)
+        if (within(upper, u, v, lim, first=True) > lim
+                and within(exact, u, v, lim, first=True) > lim):
+            yield u, v
 
 
 def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> frozenset[Edge]:

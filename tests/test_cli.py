@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dilaug import fileformat, oracle
+from dilaug import fileformat, model, oracle
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 from dilaug.fileformat import (ParseError, parse_rational, serialize_instance,
                                serialize_solution)
@@ -264,14 +264,14 @@ class TestVerify:
         assert (code, text) == (EXIT_YES, "valid\n")
         [inst] = built
         # Not one full row: each limit, and each G edge the scan reaches,
-        # G chords included, is read from a run that stops at its targets.
+        # G chords included, is read from a pair query.
         assert not inst.gamma_rows
 
     def test_verify_runs_gamma_only_from_open_pairs(self, tmp_path, monkeypatch):
         # Every Gamma edge weighs 3, so each is a shortest path, and G has
-        # no chord: the scan's first pass is exact and a valid S leaves no
+        # no chord: the scan's first check is exact and a valid S leaves no
         # pair to re-check.  d_Gamma is read only for the open pairs'
-        # limits, by one run from each first end, and for no G edge.
+        # limits, by one pair query over Gamma each, and for no G edge.
         rng = random.Random(502)
         n = 40
         gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
@@ -279,23 +279,26 @@ class TestVerify:
         g_edges = set(gamma_edges) - set(rng.sample(gamma_edges, len(gamma_edges) // 4))
         source = build_instance(gamma, g_edges, n, Fraction(2))
         s = adjacent_conflicts(source)
-        open_ends = sorted({u for u, _ in set(gamma_edges) - g_edges - s})
-        assert s and open_ends and {u for u, _ in g_edges} - set(open_ends)
+        open_pairs = sorted(set(gamma_edges) - g_edges - s)
+        assert s and open_pairs
 
         inst_file, sol_file = tmp_path / "even.dilaug", tmp_path / "even.sol"
         inst_file.write_text(serialize_instance(source))
         sol_file.write_text(serialize_solution(s))
-        sources = []
-        real = Graph.weighted_distances
+        built = parsed_instances(monkeypatch)
+        queries = []
+        real = model.within
 
-        def counted(self, u, targets=None):
-            sources.append(u)
-            return real(self, u, targets)
+        def counted(adj, u, v, cap, first=False):
+            queries.append((adj, u, v))
+            return real(adj, u, v, cap, first)
 
-        monkeypatch.setattr(Graph, "weighted_distances", counted)
+        monkeypatch.setattr(model, "within", counted)
         code, text = cli("verify", "--input", str(inst_file), "--solution", str(sol_file))
         assert (code, text) == (EXIT_YES, "valid\n")
-        assert sources == open_ends
+        [inst] = built
+        assert [(u, v) for adj, u, v in queries if adj is inst.gamma.adj] == open_pairs
+        assert not inst.gamma_rows
 
     def test_large_weighted_bounded_solve_builds_no_full_table(self, tmp_path, monkeypatch):
         # The conflict kernel reads the Gamma rows of one ellipse and the G

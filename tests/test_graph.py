@@ -1,15 +1,13 @@
-import heapq
 import math
-from types import SimpleNamespace
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug import graph as graph_module
-from dilaug.graph import (Graph, GraphError, ball, exceeding,
-                          greedy_maximal_matching, max_degree, norm_edge)
+from dilaug.graph import (Graph, GraphError, ball, greedy_maximal_matching, max_degree,
+                          norm_edge, within)
 
 from conftest import brute_max_matching, enumerate_path_distance, nx_apsp, nx_graph
 
@@ -27,6 +25,22 @@ def small_graphs(max_n=7, weighted=False, max_weight=5):
         return Graph(n, edges, weights or None)
 
     return build()
+
+
+def walk_lengths(g, source, bound):
+    """Vertex -> the lengths at most ``bound`` of the walks to it from
+    ``source``."""
+    lengths = [set() for _ in range(g.n)]
+    lengths[source].add(0)
+    todo = [(source, 0)]
+    while todo:
+        u, length = todo.pop()
+        for v in g.neighbors(u):
+            nl = length + g.weight.get(norm_edge(u, v), 1)
+            if nl <= bound and nl not in lengths[v]:
+                lengths[v].add(nl)
+                todo.append((v, nl))
+    return lengths
 
 
 class TestConstruction:
@@ -54,6 +68,16 @@ class TestConstruction:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(GraphError):
             Graph(3, [(0, 1)], {(0, 1): 0})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5, Fraction(7, 2)],
+                             ids=["inf", "-inf", "nan", "2.5", "7/2"])
+    def test_rejects_weight_that_is_no_integer(self, bad):
+        with pytest.raises(GraphError, match=r"^weight of \(0, 1\) must be a positive integer$"):
+            Graph(2, [(0, 1)], {(0, 1): bad})
+
+    @pytest.mark.parametrize("good", [3, 3.0, Fraction(3)], ids=["3", "3.0", "Fraction(3)"])
+    def test_accepts_weight_equal_to_an_integer(self, good):
+        assert Graph(2, [(0, 1)], {(0, 1): good}).weight == {(0, 1): 3}
 
     def test_unit_weights_are_implicit(self):
         g = Graph(3, [(0, 1), (1, 2)], {(0, 1): 1, (1, 2): 3})
@@ -95,75 +119,57 @@ class TestDistances:
         for v in range(1, g.n):
             assert g.weighted_distances(0)[v] == enumerate_path_distance(g, 0, v)
 
-    @settings(max_examples=150, deadline=None)
-    @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
-    def test_target_distances_match_full_row(self, g, data):
-        # A run that stops once its targets are final still gives each of
-        # them, the source or an unreachable vertex included, its exact
-        # distance.
-        source = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-        targets = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-        full = g.weighted_distances(source)
-        row = g.weighted_distances(source, targets)
-        assert {x: row[x] for x in targets} == {x: full[x] for x in targets}
-
-    def test_target_run_stops_once_its_targets_are_final(self):
-        # Popping 1 at distance 1 decides target 2: its tentative 2 (the
-        # edge 0-2) is at most 1 plus the lightest edge at 2, so the run
-        # stops before it relaxes 1-3.
-        g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)], {(0, 2): 2})
-        assert g.weighted_distances(0, {2}) == [0, 1, 2, math.inf]
-        assert g.weighted_distances(0) == [0, 1, 2, 2]
-        # With 0-2 at 3 the same pop does not decide 2: 1-2 is shorter.
-        g = Graph(3, [(0, 1), (0, 2), (1, 2)], {(0, 2): 3})
-        assert g.weighted_distances(0, {2}) == [0, 1, 2]
-
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
-    def test_neighbour_targets_match_full_row(self, g, data):
-        # Targets drawn from the source's neighbours only, so every run has
-        # a finite push cap; a single neighbour has the tightest one.
-        for source in range(g.n):
-            near = g.neighbors(source)
-            full = g.weighted_distances(source)
-            drawn = data.draw(st.sets(st.sampled_from(near))) if near else set()
-            for targets in [{x} for x in near] + [drawn]:
-                row = g.weighted_distances(source, targets)
-                assert {x: row[x] for x in targets} == {x: full[x] for x in targets}
+    def test_pair_query_matches_full_row(self, g, data):
+        # Every target, the source and unreachable vertices included, with
+        # a cap below, at or above its distance, or INF.  With first, the
+        # answer is the length of some walk from s to t within the cap.
+        s = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        full = g.weighted_distances(s)
+        firsts = {}
+        for t in range(g.n):
+            d = full[t]
+            near = [d - 1, d, d + 1] if d < math.inf else []
+            cap = data.draw(st.one_of(st.sampled_from(near + [math.inf]),
+                                      st.integers(min_value=-1, max_value=40)))
+            assert within(g.adj, s, t, cap) == (d if d <= cap else math.inf)
+            found = within(g.adj, s, t, cap, first=True)
+            if d <= cap and d < math.inf:
+                assert d <= found <= cap
+                firsts[t] = found
+            else:
+                assert found == math.inf
+        lengths = walk_lengths(g, s, max(firsts.values(), default=0))
+        assert all(found in lengths[t] for t, found in firsts.items())
 
-    def test_push_cap(self, monkeypatch):
-        # The target 3 sits across 0-3 of weight 5 and its lightest edge is
-        # 2-3 of weight 1, so the run expands nothing at 5 - 1 = 4 or more:
-        # 3 at 5 and 4 at 4 are relaxed but not pushed, 2 at 3 is pushed
-        # and lowers 3 to its exact 4, and 5 beyond 4 is never reached.
-        g = Graph(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (4, 5)],
-                  {(0, 3): 5, (1, 2): 2, (1, 4): 3})
-        pushed = []
-        monkeypatch.setattr(graph_module, "heapq", SimpleNamespace(
-            heapify=heapq.heapify, heappop=heapq.heappop,
-            heappush=lambda heap, item: pushed.append(item) or heapq.heappush(heap, item)))
-        assert g.weighted_distances(0, {3}) == [0, 1, 3, 4, 4, math.inf]
-        assert pushed == [(1, 1), (3, 2)]
-        assert g.weighted_distances(0) == [0, 1, 3, 4, 4, 5]
+    def test_pair_query_at_its_cap(self):
+        # The path 0-1-2-3 of length 3 is found at cap 3 and not at cap 2,
+        # and the single edge 0-3 of weight 3 at cap 3: a relaxation that
+        # lands exactly on the cap still labels its vertex.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert [within(g.adj, 0, 3, cap) for cap in (2, 3, 4)] == [math.inf, 3, 3]
+        g = Graph(2, [(0, 1)], {(0, 1): 3})
+        assert [within(g.adj, 0, 1, cap) for cap in (2, 3)] == [math.inf, 3]
+        # With first, the first path within the cap, 4 by the edge 0-3,
+        # ends the run before the shortest, 3 around 0-1-2-3.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], {(0, 3): 4})
+        assert within(g.adj, 0, 3, 4, first=True) == 4
+        assert within(g.adj, 0, 3, 4) == 3
 
-    @settings(max_examples=100, deadline=None)
-    @given(small_graphs(max_n=9, weighted=True, max_weight=10))
-    def test_light_is_each_rows_minimum(self, g):
-        assert g.light == [min((g.weight.get(norm_edge(x, y), 1) for y in g.neighbors(x)),
-                               default=math.inf) for x in range(g.n)]
+    def test_pair_query_reads_a_lazy_mapping(self):
+        # Only the rows of expanded vertices are read: the two ends meet at
+        # 1 before either side expands it, and 3 lies past the cap.
+        rows = {0: [(1, 1)], 1: [(0, 1), (2, 1)], 2: [(1, 1), (3, 5)], 3: [(2, 5)]}
+        read = []
 
-    @settings(max_examples=150, deadline=None)
-    @given(small_graphs(max_n=9, weighted=True, max_weight=10), st.data())
-    def test_exceeding_matches_full_row(self, g, data):
-        # Bounds below, at and above the distances, and bounds above every
-        # distance that never stop the run early: exactly the vertices past
-        # their bound, unreachable ones included.
-        source = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-        bound = data.draw(st.dictionaries(
-            st.integers(min_value=0, max_value=g.n - 1),
-            st.one_of(st.integers(min_value=-1, max_value=40), st.just(10 ** 6))))
-        full = g.weighted_distances(source)
-        assert exceeding(g._adj, source, bound, g.n) == {x for x in bound if full[x] > bound[x]}
+        class Lazy(dict):
+            def __missing__(self, u):
+                read.append(u)
+                return rows[u]
+
+        assert within(Lazy(), 0, 2, 2) == 2
+        assert sorted(read) == [0, 2]
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
