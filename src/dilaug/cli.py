@@ -19,7 +19,7 @@ from . import kdd, oracle, structured
 from .fileformat import (ParseError, parse_instance, parse_rational,
                          parse_solution, parse_source, serialize_instance,
                          serialize_solution)
-from .graph import Graph, max_degree
+from .graph import Graph
 from .model import Instance, verify_solution
 from .oracle import SearchBudgetExceeded, Verdict
 from .randinst import DEFAULT_TS, STRETCHES, random_instance
@@ -43,11 +43,8 @@ class CliError(Exception):
 
 
 def _pick_auto(inst: Instance) -> str:
-    if structured.tree_inapplicable(inst) is None:
-        return "tree"
-    if max_degree(inst.gamma.edges) <= max_degree(inst.g_edges):
-        return "bounded-gamma"
-    return "bounded-g"
+    # bounded-gamma tests the smaller of the Gamma and G balls itself.
+    return "tree" if structured.tree_inapplicable(inst) is None else "bounded-gamma"
 
 
 def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
@@ -157,6 +154,8 @@ def _applicable_engines(inst: Instance) -> list[str]:
 
 
 def cmd_fuzz(args, out) -> int:
+    if args.count < 0:
+        raise CliError(f"--count must be at least 0, got {args.count}")
     rng = random.Random(args.seed)
     failures = 0
     for i in range(args.count):

@@ -1,4 +1,4 @@
-"""Instance, solution and label file parsing/serialization.
+"""Instance, solution and source file parsing and serialization.
 
 Instance format (UTF-8, newline-delimited, 1-based vertex ids):
 
@@ -6,7 +6,7 @@ Instance format (UTF-8, newline-delimited, 1-based vertex ids):
     p dilaug <n> <k> <p>/<q>   exactly once, first non-comment line
     e <u> <v> <w>          Gamma edge, integer weight w >= 1
     g <u> <v>              G edge
-    l <v> <label>          optional vertex label (generator sidecar)
+    l <v> <label>          optional vertex label, checked and ignored
 
 Solution files contain lines ``s <u> <v>``.  Source files for the
 hardness generators contain ``p src <n> <k>`` once, then ``e <u> <v>``
@@ -82,7 +82,7 @@ def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
-def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> Instance:
+def parse_instance(text: str) -> Instance:
     header = None
     gamma_edges: dict[Edge, int] = {}
     g_edges: set[Edge] = set()
@@ -125,9 +125,7 @@ def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> I
         elif kind == "l":
             if len(parts) < 3:
                 raise ParseError("label line must be 'l <v> <label>'", lineno)
-            v = _vertex(parts[1], n, lineno)
-            if collect_labels is not None:
-                collect_labels[v] = " ".join(parts[2:])
+            _vertex(parts[1], n, lineno)
         else:
             raise ParseError(f"unknown line type {kind!r}", lineno)
     if header is None:
@@ -142,15 +140,13 @@ def parse_instance(text: str, collect_labels: dict[int, str] | None = None) -> I
         raise ParseError(str(exc)) from exc
 
 
-def serialize_instance(inst: Instance, labels: dict[int, str] | None = None) -> str:
+def serialize_instance(inst: Instance) -> str:
     lines = [f"p dilaug {inst.n} {inst.k} {inst.t}"]
     for u, v in sorted(inst.gamma.edges):
         w = inst.gamma.weight.get((u, v), 1)
         lines.append(f"e {u + 1} {v + 1} {w}")
     for u, v in sorted(inst.g_edges):
         lines.append(f"g {u + 1} {v + 1}")
-    for v in sorted(labels or {}):
-        lines.append(f"l {v + 1} {labels[v]}")
     return "\n".join(lines) + "\n"
 
 

@@ -231,7 +231,6 @@ class ConflictChecker:
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         self.dg = inst.gamma_rows
         self.dist = _Rows(partial(dijkstra, inst.g_adjacency()))
         self.limit = {(u, v): stretch_limit(inst.d_gamma(u, v), inst.t)

@@ -1,11 +1,12 @@
-"""Tree-metric polynomial engine and the two bounded-degree engines.
+"""Tree-metric polynomial engine and the bounded-degree engine.
 
-The bounded-degree engines localize the search: a minimum solution uses
+The bounded-degree engine localizes the search: a minimum solution uses
 only edges in the metric ellipse of some conflict pair, so enumeration is
 restricted to the union of those ellipses, on weighted Gamma too.  On
-unweighted Gamma that union lies within floor(t) hops of the conflict
-vertices, which bounds their number by the host's maximum degree.  The
-engines are correct for any maximum degree, merely slow when it is large.
+unweighted Gamma the conflict vertices lie within floor(t) hops of a
+solution's ends, in Gamma and in G, which bounds their number by the
+smaller maximum degree.  The engine is correct for any degree, merely slow
+when both are large; its two names are the paper's two parameterizations.
 """
 
 from __future__ import annotations
@@ -58,16 +59,17 @@ def _ball_size_bound(count: int, delta: int, radius: int) -> int:
     return count * sum(delta ** i for i in range(radius + 1))
 
 
-def _solve_bounded(inst: Instance, delta: int) -> Verdict:
+def _solve_bounded(inst: Instance) -> Verdict:
     """Search the ellipse union of the conflicts in brute's order: an edge
     of a solution S in no ellipse fixes no conflict, so a minimum S lies
     in the union, and a YES is brute's certificate.  On unweighted Gamma
-    each conflict vertex is within floor(t) hops, in a host of maximum
-    degree ``delta``, of one of S's <= 2k ends; more than fit prove NO."""
+    each conflict vertex is within floor(t) hops, in Gamma and in G, of one
+    of S's <= 2k ends; more than fit in the smaller ball prove NO."""
     checker = ConflictChecker(inst)
     conflicts = frozenset(checker.pairs)
     if inst.gamma.is_unweighted():
         vc = {x for e in conflicts for x in e}
+        delta = min(max_degree(inst.gamma.edges), max_degree(inst.g_edges))
         if len(vc) > _ball_size_bound(2 * inst.k, delta, math.floor(inst.t)):
             return Verdict.no()
     candidates = checker.ellipse_union(conflicts)
@@ -76,10 +78,10 @@ def _solve_bounded(inst: Instance, delta: int) -> Verdict:
 
 
 def solve_bounded_gamma(inst: Instance) -> Verdict:
-    """FPT engine parameterized by the maximum degree of Gamma."""
-    return _solve_bounded(inst, max_degree(inst.gamma.edges))
+    """FPT in k + t + the maximum degree of Gamma (see ``_solve_bounded``)."""
+    return _solve_bounded(inst)
 
 
 def solve_bounded_g(inst: Instance) -> Verdict:
-    """FPT engine parameterized by the maximum degree of G."""
-    return _solve_bounded(inst, max_degree(inst.g_edges))
+    """FPT in k + t + the maximum degree of G (see ``_solve_bounded``)."""
+    return _solve_bounded(inst)

@@ -436,6 +436,12 @@ class TestFuzzAndBench:
         assert code == EXIT_YES
         assert "25 instances, 0 disagreements" in text
 
+    def test_fuzz_negative_count_is_a_usage_error(self, capsys):
+        code, text = cli("fuzz", "--seed", "1", "--count", "-3")
+        err = capsys.readouterr().err
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == "error: --count must be at least 0, got -3\n"
+
 
 class TestUsage:
     def test_no_command(self):

@@ -35,11 +35,6 @@ class TestParseInstance:
         assert inst.gamma.weight == {(0, 1): 4}
         assert inst.gamma_rows[0][2] == 5
 
-    def test_labels_collected_on_request(self):
-        labels = {}
-        parse_instance(SAMPLE + "l 1 center of it all\n", collect_labels=labels)
-        assert labels == {0: "center of it all"}
-
     def test_missing_header(self):
         with pytest.raises(ParseError, match="missing"):
             parse_instance("c just a comment\n")
@@ -158,13 +153,9 @@ class TestRoundTrip:
         text = serialize_instance(inst)
         assert serialize_instance(parse_instance(text)) == text
 
-    def test_labels_round_trip(self):
-        inst = parse_instance(SAMPLE)
-        text = serialize_instance(inst, labels={2: "end"})
-        assert "l 3 end" in text.splitlines()
-        got = {}
-        parse_instance(text, collect_labels=got)
-        assert got == {2: "end"}
+    def test_label_lines_do_not_change_the_instance(self):
+        labelled = parse_instance(SAMPLE + "l 1 center of it all\n")
+        assert serialize_instance(labelled) == serialize_instance(parse_instance(SAMPLE))
 
 
 class TestSolutions:

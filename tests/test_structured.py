@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from dilaug import structured
 from dilaug.graph import Graph, ball, max_degree
 from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
                           verify_solution)
@@ -77,8 +79,8 @@ class TestBoundedEngines:
             assert verdict.yes and verdict.solution == frozenset({(0, 2)})
 
     def test_edgeless_g_star(self, star_instance):
-        # Degree of G is 0 here; the bounded-g engine must not answer no
-        # off its threshold, it has to fall back to the full vertex set.
+        # G has degree 0, so its ball is just the 2k ends of a solution:
+        # the three leaves fit with k = 3 but not with k = 2.
         gamma = star_instance.gamma
         inst = build_instance(gamma, [], 3, Fraction(2))
         assert solve_bounded_g(inst).yes
@@ -94,6 +96,38 @@ class TestBoundedEngines:
                 assert got.yes == expected.yes
                 if got.yes:
                     assert verify_solution(inst, got.solution).ok
+
+    def test_g_ball_proves_no_without_a_search(self, monkeypatch):
+        # Gamma = K_60, G a path, t = 2: all 60 vertices are in conflict,
+        # but the G ball of radius 2 around 2k = 6 ends holds at most 42.
+        def search(*args):
+            raise AssertionError("the ball bound should decide this")
+
+        monkeypatch.setattr(structured, "first_conflict_free", search)
+        gamma = Graph(60, combinations(range(60), 2))
+        inst = build_instance(gamma, [(v, v + 1) for v in range(59)], 3, 2)
+        assert not solve_bounded_gamma(inst).yes
+
+    def test_ball_bounds_agree_with_oracle(self, monkeypatch):
+        # Unweighted Gamma and a forest G: here the balls prove NO without
+        # a search often, and both engine names must still print brute's
+        # verdict and certificate.
+        searches = []
+        search = structured.first_conflict_free
+        monkeypatch.setattr(structured, "first_conflict_free",
+                            lambda *args: searches.append(1) or search(*args))
+        rng = random.Random(4004)
+        decided_by_ball = 0
+        for _ in range(400):
+            inst = random_instance(rng, n_max=13, k_max=2, forest_g=True)
+            if inst.n < 6:
+                continue
+            expected = solve_min(inst)
+            searches.clear()
+            for engine in (solve_bounded_gamma, solve_bounded_g):
+                assert engine(inst) == expected
+            decided_by_ball += inst.k > 0 and not searches
+        assert decided_by_ball >= 15
 
 
 class TestWeightedGamma:
@@ -116,8 +150,10 @@ class TestWeightedGamma:
 class TestLocality:
     def test_minimal_solutions_live_near_conflicts(self):
         # Endpoints of a minimum solution stay within floor(t) Gamma-hops
-        # of the conflict vertices, and vice versa; in the G-shadow the
-        # radius grows to floor(t) squared.
+        # of the conflict vertices, and vice versa.  The conflict vertices
+        # are also within floor(t) G-hops of the endpoints, the premise of
+        # the G ball bound; the other way round the radius grows to
+        # floor(t) squared.
         rng = random.Random(3003)
         seen = 0
         for _ in range(200):
@@ -135,6 +171,7 @@ class TestLocality:
             assert set(vs) <= set(ball(inst.gamma, vc, t_floor))
             assert set(vc) <= set(ball(inst.gamma, vs, t_floor))
             shadow = Graph(inst.n, inst.g_edges)
+            assert set(vc) <= set(ball(shadow, vs, t_floor))
             if max_degree(inst.g_edges) > 0:
                 assert set(vs) <= set(ball(shadow, vc, t_floor * t_floor))
         assert seen > 30
