@@ -8,7 +8,7 @@ from .model import (ConflictChecker, Instance, InstanceError,
 from .oracle import Verdict, solve_min
 from .structured import (EngineInapplicable, solve_bounded_g, solve_bounded_gamma,
                          solve_tree_gamma)
-from .kdd import (AnnotatedInstance, BlockingSet, BranchStats, NotKddFree,
+from .kdd import (AnnotatedInstance, BlockingSet, NotKddFree,
                   branch_blocking, f_value, find_blocking_set, solve_kdd,
                   twin_reduce)
 from .reductions import (GeneratedInstance, SourceProblem,

@@ -166,7 +166,7 @@ def cmd_fuzz(args, out) -> int:
         expected = oracle.solve_min(inst)
         for name in _applicable_engines(inst):
             got = dispatch(inst, name, d=2)
-            # kdd may print any minimum certificate; the others print brute's.
+            # kdd prints some certificate within budget; the others print brute's.
             if (got.yes != expected.yes if name == "kdd" else got != expected):
                 failures += 1
                 dump = f"fuzz_fail_{args.seed}_{i}_{name}.dilaug"

@@ -3,8 +3,9 @@
 Stages: conflict graph -> matching-based vertex cover R -> guess of the
 solution edges inside R -> recursive branching on blocking sets around
 high-conflict-degree cover vertices -> twin reduction -> bounded final
-enumeration.  Every branch strictly decreases the remaining budget, and
-the cover never grows past five times the original budget.
+enumeration, the guesses and the enumeration over the kernel's ellipse
+union.  A child's budget is k - |W'| - |E'| with |W'| >= 1 and R grows
+only by W', so every branch cuts the budget and |R| <= 4k + k = 5k.
 
 K_{d,d}-freeness of G is a caller contract.  It is not verified up front
 (detection is expensive); if the blocking-set construction ever produces
@@ -64,25 +65,6 @@ class ReducedSearch:
     enumeration."""
 
     candidates: tuple[int, ...]
-
-
-@dataclass
-class BranchStats:
-    """Instrumentation for the structural invariants of the recursion."""
-
-    nodes: int = 0
-    cover_violations: int = 0
-    budget_violations: int = 0
-    cover_bound: int = 0
-
-    def note_node(self, cover_size: int) -> None:
-        self.nodes += 1
-        if cover_size > self.cover_bound:
-            self.cover_violations += 1
-
-    def note_child(self, parent_k: int, child_k: int) -> None:
-        if child_k >= parent_k:
-            self.budget_violations += 1
 
 
 def f_value(i: int, k: int, d: int) -> int:
@@ -203,12 +185,10 @@ def _final_enumeration(ann: AnnotatedInstance, conflicts: frozenset[Edge],
     return first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
 
 
-def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
-                     root: ConflictChecker, pending: frozenset[Edge]
-                     ) -> frozenset[Edge] | None:
+def _solve_annotated(ann: AnnotatedInstance, d: int, root: ConflictChecker,
+                     pending: frozenset[Edge]) -> frozenset[Edge] | None:
     """Solve below ``ann``; ``pending`` holds its parent's conflict pairs,
     a superset of its own since ``ann.added`` holds the parent's edges."""
-    stats.note_node(len(ann.r))
     if ann.k == 0:
         return None if next(root.violated(ann.added, pending), None) else frozenset()
     conflicts = frozenset(root.violated(ann.added, pending))
@@ -228,8 +208,7 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, stats: BranchStats,
         if bs is None:
             return None
         for child in branch_blocking(ann, bs):
-            stats.note_child(ann.k, child.k)
-            below = _solve_annotated(child, d, stats, root, conflicts)
+            below = _solve_annotated(child, d, root, conflicts)
             if below is not None:
                 return (child.added - ann.added) | below
         return None
@@ -245,18 +224,18 @@ def kdd_inapplicable(inst: Instance) -> str | None:
     return None
 
 
-def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdict:
+def solve_kdd(inst: Instance, d: int) -> Verdict:
     """Exact engine for t = 2 on a K_{d,d}-free G (caller contract)."""
     reason = kdd_inapplicable(inst)
     if reason is not None:
         raise EngineInapplicable(reason)
     if d < 1:
         raise ValueError("d must be at least 1")
-    if stats is None:
-        stats = BranchStats()
-    stats.cover_bound = 5 * inst.k
-    # Every node's conflict pairs and the final enumeration at every leaf
-    # come from this one checker of G: a node adds at most k edges, so the
+    # f(0, k, d) >= 3d, and no conflict degree exceeds n - 1: once d >= n
+    # no node branches, so d = n answers alike without d powers per node.
+    d = min(d, inst.n)
+    # Every node's conflicts, the root guesses and every leaf's search come
+    # from this one checker of G: a node adds at most k edges, so the
     # kernel's closure over their endpoints replaces n Dijkstra runs.
     root = ConflictChecker(inst)
     conflicts = frozenset(root.pairs)
@@ -266,13 +245,14 @@ def solve_kdd(inst: Instance, d: int, stats: BranchStats | None = None) -> Verdi
     if len(matching) > 2 * inst.k:
         return Verdict.no()
     r = tuple(sorted({x for e in matching for x in e}))
-    inside_r = [(a, b) for a, b in combinations(r, 2)
-                if norm_edge(a, b) not in inst.g_edges]
-    for ej in iter_subsets(inside_r, inst.k):
-        committed = frozenset(norm_edge(a, b) for a, b in ej)
+    # Guess a minimum solution's edges inside R: like all its edges, they
+    # lie in the ellipse of some conflict pair.
+    in_r = set(r)
+    inside_r = [e for e in root.ellipse_union(conflicts) if in_r.issuperset(e)]
+    for committed in map(frozenset, iter_subsets(inside_r, inst.k)):
         ann = AnnotatedInstance(base=inst, added=committed,
                                 k=inst.k - len(committed), r=r)
-        below = _solve_annotated(ann, d, stats, root, conflicts)
+        below = _solve_annotated(ann, d, root, conflicts)
         if below is not None:
             return Verdict.of(committed | below)
     return Verdict.no()

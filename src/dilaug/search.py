@@ -16,7 +16,7 @@ from .model import ConflictChecker
 def iter_subsets(candidates: Sequence[Edge], max_size: int) -> Iterator[tuple[Edge, ...]]:
     """All subsets of size 0..max_size, sizes ascending, lexicographic within."""
     ordered = sorted(candidates)
-    for size in range(max_size + 1):
+    for size in range(min(max_size, len(ordered)) + 1):
         yield from combinations(ordered, size)
 
 
@@ -45,7 +45,7 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
     at = {e: i for i, e in enumerate(ordered)}
     masks = [sum(1 << at[e] for e in checker.ellipses[p] if e in at) for p in pending]
     m = len(ordered)
-    for size in range(1, k + 1):
+    for size in range(1, min(k, m) + 1):
         for prefix in combinations(range(m - 1), size - 1):
             covered = 0
             for i in prefix:

@@ -8,6 +8,8 @@ opinion the implementation is checked against.
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +17,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
+from dilaug import kdd
 from dilaug.graph import Graph, norm_edge
 from dilaug.model import Instance, build_instance
 from dilaug.randinst import STRETCHES
@@ -181,3 +184,51 @@ def far_bridge_instance(hops: int, bridge: int, w: int, far: int) -> Instance:
     weights = {(a, b): w, (u1, v1): far, (u2, v2): far}
     gamma = Graph(count, path_edges + list(weights), weights)
     return build_instance(gamma, path_edges, 1, Fraction(2))
+
+
+def blocking_instance(rng: random.Random, pendant: bool) -> Instance:
+    """A t = 2, k = 1 instance on which kdd can branch on a blocking set.
+
+    In Gamma, v is adjacent to w, to y and to 8-10 leaves, and w to y and
+    to every leaf.  G is the tree v-y, y-w and w-every leaf, so each
+    (v, leaf) pair conflicts, and the one edge (v, w) fixes them all: w
+    is the witness of v once v's conflict degree outside the cover
+    exceeds f(0, 1, 2) = 6.  With ``pendant`` a new vertex hangs off a
+    random leaf by a Gamma edge not in G, a second conflict that no
+    single edge fixes with the first, and the answer is NO.  Vertex ids
+    are shuffled.
+    """
+    leaves = range(3, 3 + rng.randint(8, 10))
+    v, w, y = 0, 1, 2
+    gamma_edges = [(v, w), (v, y), (w, y)]
+    gamma_edges += [(x, leaf) for leaf in leaves for x in (v, w)]
+    g_edges = [(v, y), (y, w)] + [(w, leaf) for leaf in leaves]
+    n = leaves.stop
+    if pendant:
+        gamma_edges.append((rng.choice(leaves), n))
+        n += 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    gamma = Graph(n, [(ids[a], ids[b]) for a, b in gamma_edges])
+    return build_instance(gamma, [(ids[a], ids[b]) for a, b in g_edges],
+                          1, Fraction(2))
+
+
+@pytest.fixture
+def kdd_branchings(monkeypatch) -> Counter:
+    """Wraps ``kdd.branch_blocking`` and counts its calls ("branchings")
+    and the children that break the recursion's invariants ("violations"):
+    a budget not below the parent's, or a cover larger than 5k for the
+    instance's budget k."""
+    tally: Counter = Counter()
+    inner = kdd.branch_blocking
+
+    def branch_blocking(ann, bs):
+        children = inner(ann, bs)
+        tally["branchings"] += 1
+        tally["violations"] += sum(child.k >= ann.k or len(child.r) > 5 * ann.base.k
+                                   for child in children)
+        return children
+
+    monkeypatch.setattr(kdd, "branch_blocking", branch_blocking)
+    return tally

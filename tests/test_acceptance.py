@@ -16,7 +16,7 @@ from itertools import combinations
 from dilaug.cli import run as cli_run
 from dilaug.fileformat import serialize_instance
 from dilaug.graph import Graph, ball, max_degree
-from dilaug.kdd import BranchStats, f_value, solve_kdd
+from dilaug.kdd import f_value, solve_kdd
 from dilaug.model import adjacent_conflicts, is_conflict_free, verify_solution
 from dilaug.oracle import solve_min
 from dilaug.randinst import STRETCHES, random_instance, random_solution
@@ -27,7 +27,8 @@ from dilaug.reductions import (SourceProblem, gen_diameter2_clique,
 from dilaug.structured import (solve_bounded_g, solve_bounded_gamma,
                                solve_tree_gamma)
 
-from conftest import all_pairs_within_stretch, record_acceptance
+from conftest import (all_pairs_within_stretch, blocking_instance,
+                      record_acceptance)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str) -> None:
@@ -91,24 +92,25 @@ def test_criterion_2_structured_engines_match_oracle():
             f"tolerance: zero")
 
 
-def test_criterion_3_kdd_matches_oracle_with_invariants():
-    rng = random.Random(10004)
-    stats = BranchStats()
-    mismatches = 0
-    for _ in range(300):
-        inst = random_instance(rng, n_max=8, k_max=2,
-                               ts=(Fraction(2),), forest_g=True)
-        if solve_kdd(inst, 2, stats=stats).yes != solve_min(inst).yes:
-            mismatches += 1
-    ok = (mismatches == 0 and stats.cover_violations == 0
-          and stats.budget_violations == 0)
+def test_criterion_3_kdd_matches_oracle_with_invariants(kdd_branchings):
+    # The random draws are too small for kdd to branch; the blocking
+    # instances make it branch, and every branching's children are checked.
+    rng, family = random.Random(10004), random.Random(2)
+    instances = [random_instance(rng, n_max=8, k_max=2,
+                                 ts=(Fraction(2),), forest_g=True)
+                 for _ in range(300)]
+    instances += [blocking_instance(family, pendant=i % 2 == 1)
+                  for i in range(200)]
+    mismatches = sum(solve_kdd(inst, 2).yes != solve_min(inst).yes
+                     for inst in instances)
+    branchings, violations = kdd_branchings["branchings"], kdd_branchings["violations"]
+    ok = mismatches == 0 and violations == 0 and branchings >= 100
     _report(3, "kdd engine (d=2, t=2, forest G) agrees with brute force and "
             "keeps its branching invariants",
             ok,
-            f"300 instances, {mismatches} disagreements, "
-            f"{stats.cover_violations} cover-bound violations, "
-            f"{stats.budget_violations} budget violations over {stats.nodes} "
-            f"branch nodes, tolerance: zero")
+            f"300 random and 200 blocking instances, {mismatches} disagreements, "
+            f"{violations} children over budget or cover bound in "
+            f"{branchings} branchings (at least 100), tolerance: zero")
 
 
 def test_criterion_4_threshold_function_identity():

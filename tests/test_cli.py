@@ -1,10 +1,15 @@
 import functools
 import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dilaug
 from dilaug import fileformat, model, oracle
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 from dilaug.fileformat import (ParseError, parse_rational, serialize_instance,
@@ -73,6 +78,15 @@ def cli(*argv):
     out = io.StringIO()
     code = run(list(argv), out=out)
     return code, out.getvalue()
+
+
+def cli_process(*argv, timeout=10):
+    """``cli`` in a child process, killed with ``subprocess.TimeoutExpired``
+    once ``timeout`` seconds pass."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dilaug.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "dilaug.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout
 
 
 def parsed_instances(monkeypatch):
@@ -222,6 +236,26 @@ class TestEngineFailure:
         code, text = cli("solve", "--engine", "brute", "--input", triangle_file)
         assert (code, text) == (EXIT_ENGINE, "")
         assert "conflict(0,2)" in capsys.readouterr().err
+
+
+class TestKddLargeParameters:
+    """kdd's work does not grow with a k or a d the instance cannot use."""
+
+    def test_large_budget(self, tmp_path):
+        # A NO leaf tries subset sizes up to its candidate count, not up to
+        # k: every size up to k costs time quadratic in k.
+        path = tmp_path / "path.dilaug"
+        path.write_text(PATH_TREE.replace("p dilaug 3 2 2", "p dilaug 3 1000000 2"))
+        assert (cli_process("solve", "--engine", "kdd", "--d", "2", "--input", str(path))
+                == cli("solve", "--engine", "bounded-gamma", "--input", str(path)))
+
+    def test_large_d(self, tmp_path):
+        # d >= n answers as d = n does, without summing d powers of k for
+        # the branching threshold at every node.
+        path = tmp_path / "path.dilaug"
+        path.write_text(PATH_TREE)
+        argv = ("solve", "--engine", "kdd", "--input", str(path), "--d")
+        assert cli_process(*argv, "1000000000") == cli(*argv, "3")
 
 
 class TestVerify:

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilaug import kdd
 from dilaug.graph import Graph
-from dilaug.kdd import (AnnotatedInstance, BlockingSet, BranchStats,
-                        NotKddFree, branch_blocking, f_value,
-                        find_blocking_set, solve_kdd, twin_reduce)
+from dilaug.kdd import (AnnotatedInstance, BlockingSet, NotKddFree,
+                        branch_blocking, f_value, find_blocking_set,
+                        solve_kdd, twin_reduce)
 from dilaug.model import adjacent_conflicts, build_instance, verify_solution
 from dilaug.oracle import solve_min
 from dilaug.randinst import random_instance
 from dilaug.structured import EngineInapplicable
+
+from conftest import blocking_instance
 
 
 class TestFValue:
@@ -178,29 +181,36 @@ class TestSolveKdd:
         verdict = solve_kdd(inst, 2)
         assert verdict.yes and verify_solution(inst, verdict.solution).ok
 
-    def test_matching_cutoff(self):
+    def test_matching_cutoff(self, monkeypatch):
         # 2k+1 independent conflict edges cannot be covered by k added
-        # edges; the matching bound answers no before any branching.
+        # edges; the matching bound answers no before any node is solved.
         gamma = Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4)])
         inst = build_instance(gamma, [(1, 2), (3, 4)], 1, Fraction(2))
-        stats = BranchStats()
-        assert not solve_kdd(inst, 2, stats=stats).yes
-        assert stats.nodes == 0
 
-    def test_agrees_with_oracle_forest_g(self):
-        # A forest is K_{2,2}-free, so d = 2 is a valid contract.
-        rng = random.Random(4004)
-        stats = BranchStats()
+        def no_node(*args):
+            raise AssertionError("a node was solved")
+
+        monkeypatch.setattr(kdd, "_solve_annotated", no_node)
+        assert not solve_kdd(inst, 2).yes
+
+    def test_agrees_with_oracle_forest_g(self, kdd_branchings):
+        # A forest is K_{2,2}-free, so d = 2 is a valid contract.  The
+        # random draws are too small to branch (f(0) is 6 at k = 1, 26 at
+        # k = 2); the blocking instances branch.
+        rng, family = random.Random(4004), random.Random(5)
+        instances = [random_instance(rng, n_max=8, k_max=2,
+                                     ts=(Fraction(2),), forest_g=True)
+                     for _ in range(250)]
+        instances += [blocking_instance(family, pendant=i % 2 == 1)
+                      for i in range(100)]
         yes = 0
-        for _ in range(250):
-            inst = random_instance(rng, n_max=8, k_max=2,
-                                   ts=(Fraction(2),), forest_g=True)
-            got = solve_kdd(inst, 2, stats=stats)
+        for inst in instances:
+            got = solve_kdd(inst, 2)
             expected = solve_min(inst)
             assert got.yes == expected.yes
             if got.yes:
                 yes += 1
                 assert verify_solution(inst, got.solution).ok
-        assert yes > 50
-        assert stats.cover_violations == 0
-        assert stats.budget_violations == 0
+        assert yes > 100
+        assert kdd_branchings["branchings"] >= 50
+        assert kdd_branchings["violations"] == 0
