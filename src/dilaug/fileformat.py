@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graph import Edge, Graph, GraphError
-from .model import Instance, InstanceError, MetricUndefinedError, build_instance
+from .model import Instance, MetricUndefinedError
 
 
 class ParseError(ValueError):
@@ -131,13 +131,12 @@ def parse_instance(text: str) -> Instance:
     if header is None:
         raise ParseError("missing 'p dilaug' header")
     n, k, t = header
-    try:
-        if len(gamma_edges) < n - 1:
-            # Too few edges to connect n vertices: fail before Graph allocates.
-            raise MetricUndefinedError()
-        return build_instance(Graph(n, gamma_edges, gamma_edges), g_edges, k, t)
-    except (MetricUndefinedError, InstanceError) as exc:
-        raise ParseError(str(exc)) from exc
+    # Too few edges to connect n vertices: fail before Graph allocates.
+    gamma = Graph._checked(n, gamma_edges) if len(gamma_edges) >= n - 1 else None
+    if gamma is None or not gamma.is_connected():
+        raise ParseError(str(MetricUndefinedError()))
+    # The lines above make every check of Graph() and build_instance.
+    return Instance(gamma, frozenset(g_edges), k, t)
 
 
 def serialize_instance(inst: Instance) -> str:

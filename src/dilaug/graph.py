@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 INF = math.inf
@@ -102,33 +102,38 @@ class Graph:
                  weight: dict[Edge, int] | None = None):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        self.n = n
-        normed = set()
+        full: dict[Edge, int] = {}
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range [0, {n})")
-            normed.add((u, v) if u < v else (v, u))
-        self.edges: frozenset[Edge] = frozenset(normed)
-        w = {}
+            full[(u, v) if u < v else (v, u)] = 1
         for (u, v), wt in (weight or {}).items():
             e = (u, v) if u < v else (v, u)
-            if e not in normed:
+            if e not in full:
                 raise GraphError(f"weight given for non-edge {e}")
             if not 1 <= wt < INF or wt != int(wt):  # NaN fails the first test
                 raise GraphError(f"weight of {e} must be a positive integer")
-            if wt != 1:
-                w[e] = int(wt)
-        self.weight: dict[Edge, int] = w
+            full[e] = int(wt)
+        self._build(n, full)
+
+    @classmethod
+    def _checked(cls, n: int, weight: dict[Edge, int]) -> Graph:
+        """``Graph(n, weight, weight)`` for a normalized, checked edge -> weight."""
+        graph = cls.__new__(cls)
+        graph._build(n, weight)
+        return graph
+
+    def _build(self, n: int, weight: dict[Edge, int]) -> None:
+        self.n = n
+        self.edges: frozenset[Edge] = frozenset(weight)
+        self.weight: dict[Edge, int] = {e: wt for e, wt in weight.items() if wt != 1}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v) in normed:
-            wt = w.get((u, v), 1)
+        for (u, v), wt in weight.items():
             adj[u].append((v, wt))
             adj[v].append((u, wt))
-        for row in adj:
-            row.sort()
-        self.adj = adj
+        self.adj = [sorted(row) for row in adj]
 
     def neighbors(self, u: int) -> list[int]:
         return [v for v, _ in self.adj[u]]
@@ -206,11 +211,6 @@ def ball(g: Graph, w: Sequence[int], radius: int) -> list[int]:
                 seen[v] = du + 1
                 queue.append(v)
     return sorted(seen)
-
-
-def max_degree(edges: Iterable[Edge]) -> int:
-    """The maximum degree of the graph with edge set ``edges``."""
-    return max(Counter(x for e in edges for x in e).values(), default=0)
 
 
 def greedy_maximal_matching(edges: Iterable[Edge]) -> frozenset[Edge]:

@@ -232,7 +232,8 @@ class ConflictChecker:
 
     def __init__(self, inst: Instance):
         self.dg = inst.gamma_rows
-        self.dist = _Rows(partial(dijkstra, inst.g_adjacency()))
+        self.g_adj = inst.g_adjacency()
+        self.dist = _Rows(partial(dijkstra, self.g_adj))
         self.limit = {(u, v): stretch_limit(inst.d_gamma(u, v), inst.t)
                       for u, v in inst.gamma.edges}
         self.pairs = [(u, v) for (u, v), lim in sorted(self.limit.items())

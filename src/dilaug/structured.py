@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 
-from .graph import max_degree
 from .model import ConflictChecker, Instance
 from .oracle import Verdict
 from .search import first_conflict_free
@@ -69,7 +68,7 @@ def _solve_bounded(inst: Instance) -> Verdict:
     conflicts = frozenset(checker.pairs)
     if inst.gamma.is_unweighted():
         vc = {x for e in conflicts for x in e}
-        delta = min(max_degree(inst.gamma.edges), max_degree(inst.g_edges))
+        delta = min(max(map(len, adj), default=0) for adj in (inst.gamma.adj, checker.g_adj))
         if len(vc) > _ball_size_bound(2 * inst.k, delta, math.floor(inst.t)):
             return Verdict.no()
     candidates = checker.ellipse_union(conflicts)

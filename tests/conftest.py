@@ -78,6 +78,11 @@ def all_pairs_within_stretch(inst: Instance, s=()) -> bool:
     return True
 
 
+def max_degree(edges) -> int:
+    """The maximum degree of the graph with edge set ``edges``."""
+    return max(Counter(x for e in edges for x in e).values(), default=0)
+
+
 def brute_max_matching(n: int, edges) -> int:
     """Maximum matching size by exhaustive search (tiny graphs only)."""
     edges = sorted({norm_edge(u, v) for u, v in edges})

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from dilaug.cli import run as cli_run
 from dilaug.fileformat import serialize_instance
-from dilaug.graph import Graph, ball, max_degree
+from dilaug.graph import Graph, ball
 from dilaug.kdd import f_value, solve_kdd
 from dilaug.model import adjacent_conflicts, is_conflict_free, verify_solution
 from dilaug.oracle import solve_min
@@ -27,7 +27,7 @@ from dilaug.reductions import (SourceProblem, gen_diameter2_clique,
 from dilaug.structured import (solve_bounded_g, solve_bounded_gamma,
                                solve_tree_gamma)
 
-from conftest import (all_pairs_within_stretch, blocking_instance,
+from conftest import (all_pairs_within_stretch, blocking_instance, max_degree,
                       record_acceptance)
 
 

@@ -93,11 +93,11 @@ def parsed_instances(monkeypatch):
     """The instances the CLI builds from now on, in order."""
     built = []
 
-    def keep(*args):
-        built.append(build_instance(*args))
+    def keep(text):
+        built.append(fileformat.parse_instance(text))
         return built[-1]
 
-    monkeypatch.setattr(fileformat, "build_instance", keep)
+    monkeypatch.setattr("dilaug.cli.parse_instance", keep)
     return built
 
 

@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilaug.fileformat import (ParseError, parse_instance, parse_solution,
                                serialize_instance, serialize_solution)
+from dilaug.graph import Graph
+from dilaug.model import build_instance
 from dilaug.randinst import random_instance
+
+from conftest import searches
 
 SAMPLE = """\
 c a triangle with a path G
@@ -122,6 +128,13 @@ PARSE_ERRORS = [
     # Comments, indented ones too, and blank lines count toward line numbers.
     ("  c note\n" + HEAD + "x\n", "unknown line type 'x'", 3),
     ("\tcomment\n\n" + HEAD + "e 1 1 1\n", "self-loop", 4),
+    # A line that breaks two rules reports the first in this order: token
+    # count, vertex ids, self-loop, weight, duplicate.
+    (HEAD + "e 1 x w\n", "bad vertex id 'x'", 2),
+    (HEAD + "e 2 2 0\n", "self-loop", 2),
+    (HEAD + "e 1 2 1\ne 2 1 0\n", "weight 0 must be >= 1", 3),
+    (HEAD + "e 1 2 1.5\n", "bad weight '1.5'", 2),
+    (HEAD + "g 2 2\ng 2 2\n", "self-loop", 2),
 ]
 
 
@@ -152,6 +165,26 @@ class TestRoundTrip:
         inst = random_instance(rng, n_max=7, k_max=2)
         text = serialize_instance(inst)
         assert serialize_instance(parse_instance(text)) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 6]).flatmap(lambda w: searches(max_n=8, max_weight=w)),
+           st.randoms(use_true_random=False))
+    def test_parse_equals_the_checked_constructors(self, search, rng):
+        # parse_instance builds Gamma and the instance without Graph() and
+        # build_instance; both paths must give the same instance.  The file
+        # lists the edges in any order, each with its ends in any order.
+        inst = search[0]
+        weight = {e: inst.gamma.weight.get(e, 1) for e in inst.gamma.edges}
+        want = build_instance(Graph(inst.n, weight, weight), inst.g_edges, inst.k, inst.t)
+        header, *lines = [line.split() for line in serialize_instance(inst).splitlines()]
+        for parts in lines:
+            if rng.random() < 0.5:
+                parts[1], parts[2] = parts[2], parts[1]
+        rng.shuffle(lines)
+        got = parse_instance("\n".join(map(" ".join, [header, *lines])))
+        assert (got.n, got.k, got.t, got.g_edges) == (want.n, want.k, want.t, want.g_edges)
+        assert (got.gamma.edges, got.gamma.weight, got.gamma.adj) == \
+            (want.gamma.edges, want.gamma.weight, want.gamma.adj)
 
     def test_label_lines_do_not_change_the_instance(self):
         labelled = parse_instance(SAMPLE + "l 1 center of it all\n")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug.graph import (Graph, GraphError, ball, greedy_maximal_matching, max_degree,
-                          norm_edge, within)
+from dilaug.graph import Graph, GraphError, ball, greedy_maximal_matching, norm_edge, within
 
-from conftest import brute_max_matching, enumerate_path_distance, nx_apsp, nx_graph
+from conftest import (brute_max_matching, enumerate_path_distance, max_degree, nx_apsp,
+                      nx_graph)
 
 
 def small_graphs(max_n=7, weighted=False, max_weight=5):
@@ -195,16 +195,18 @@ class TestStructure:
     def test_is_forest_matches_networkx(self, g):
         assert g.is_forest() == nx.is_forest(nx_graph(g.n, g.edges))
 
-    def test_max_degree_star(self):
-        g = Graph(5, [(0, i) for i in range(1, 5)])
-        assert max_degree(g.edges) == 4
-        assert g.neighbors(0) == [1, 2, 3, 4] and g.neighbors(3) == [0]
-
     @settings(max_examples=200, deadline=None)
-    @given(small_graphs())
-    def test_max_degree_of_an_edge_set(self, g):
-        degrees = [d for _, d in nx_graph(g.n, g.edges).degree()]
-        assert max_degree(g.edges) == max(degrees, default=0)
+    @given(small_graphs(weighted=True))
+    def test_checked_constructor_matches_the_public_one(self, g):
+        # The parser's path: a normalized edge -> weight dict, weight 1 kept.
+        w = {e: g.weight.get(e, 1) for e in sorted(g.edges, reverse=True)}
+        fast, public = Graph._checked(g.n, w), Graph(g.n, w, w)
+        assert (fast.n, fast.edges, fast.weight, fast.adj) == \
+            (public.n, public.edges, public.weight, public.adj)
+
+    def test_star_neighbors(self):
+        g = Graph(5, [(0, i) for i in range(1, 5)])
+        assert g.neighbors(0) == [1, 2, 3, 4] and g.neighbors(3) == [0]
 
 
 class TestBall:

@@ -45,6 +45,14 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             build_instance(triangle_gamma, [(0, 1), (1, 0)], 0, 2)
 
+    def test_g_self_loop_rejected(self, triangle_gamma):
+        with pytest.raises(InstanceError, match=r"G edge \(2, 2\) is a self-loop"):
+            build_instance(triangle_gamma, [(0, 1), (2, 2)], 0, 2)
+
+    def test_g_edge_out_of_range_rejected(self, triangle_gamma):
+        with pytest.raises(InstanceError, match=r"G edge \(1, 3\) out of range \[0, 3\)"):
+            build_instance(triangle_gamma, [(1, 3)], 0, 2)
+
     def test_g_need_not_be_subgraph_of_gamma(self, triangle_gamma):
         gamma = Graph(4, [(0, 1), (1, 2), (2, 3)])
         inst = build_instance(gamma, [(0, 3)], 0, 2)

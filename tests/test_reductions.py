@@ -4,12 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from dilaug.graph import Graph, max_degree
+from dilaug.graph import Graph
 from dilaug.model import verify_solution
 from dilaug.reductions import (SourceProblem, gen_diameter2_clique,
                                gen_diameter2_weighted, gen_dominating_set_star,
                                gen_multicolored_clique, gen_spanner_edgeless,
                                lift_witness)
+
+from conftest import max_degree
 
 
 def mcq_source(k=2):

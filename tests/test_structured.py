@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from dilaug import structured
-from dilaug.graph import Graph, ball, max_degree
+from dilaug.graph import Graph, ball
 from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
                           verify_solution)
 from dilaug.oracle import solve_min
@@ -13,7 +13,7 @@ from dilaug.randinst import random_instance
 from dilaug.structured import (EngineInapplicable, solve_bounded_g,
                                solve_bounded_gamma, solve_tree_gamma)
 
-from conftest import far_bridge_instance
+from conftest import far_bridge_instance, max_degree
 
 
 class TestTreeEngine:
