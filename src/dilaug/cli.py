@@ -108,6 +108,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_gen(args, out) -> int:
+    if (args.epsilon is None) == (args.generator == "diam2w"):
+        raise CliError("--epsilon is required by diam2w and accepted by no other generator")
     graph, k, partition = _parse_file(args.source, parse_source, args.generator == "mcq")
     try:
         if args.generator == "mcq":
@@ -116,8 +118,6 @@ def cmd_gen(args, out) -> int:
         elif args.generator == "domset":
             gen = gen_dominating_set_star(SourceProblem("dominating-set", graph, k))
         elif args.generator == "diam2w":
-            if args.epsilon is None:
-                raise CliError("diam2w requires --epsilon")
             eps = parse_rational(args.epsilon)
             src = SourceProblem("diameter2-augmentation", graph, k, epsilon=eps)
             gen = gen_diameter2_weighted(src, eps)

@@ -41,13 +41,6 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
-def parse_stretch(text: str) -> Fraction:
-    t = parse_rational(text)
-    if t < 1:
-        raise ParseError(f"stretch {text} is below 1")
-    return t
-
-
 def _int(tok: str, what: str, lineno: int) -> int:
     try:
         return int(tok)
@@ -97,9 +90,11 @@ def parse_instance(text: str) -> Instance:
             if n < 1 or k < 0:
                 raise ParseError("need n >= 1 and k >= 0", lineno)
             try:
-                t = parse_stretch(parts[4])
+                t = parse_rational(parts[4])
             except ParseError as exc:
                 raise ParseError(str(exc), lineno) from None
+            if t < 1:
+                raise ParseError(f"stretch {parts[4]} is below 1", lineno)
             header = (n, k, t)
             continue
         if header is None:
@@ -184,7 +179,12 @@ def parse_source(text: str, want_partition: bool
         elif kind == "v":
             if header is None or len(parts) != 3:
                 raise ParseError("bad color line", lineno)
-            colors[_vertex(parts[1], header[0], lineno)] = _int(parts[2], "color", lineno)
+            v = _vertex(parts[1], header[0], lineno)
+            if want_partition and v in colors:
+                raise ParseError(f"vertex {v + 1} has a second color", lineno)
+            colors[v] = _int(parts[2], "color", lineno)
+            if want_partition and not 1 <= colors[v] <= header[1]:
+                raise ParseError(f"color {colors[v]} out of range [1, {header[1]}]", lineno)
         else:
             raise ParseError(f"unknown line type {kind!r}", lineno)
     if header is None:

@@ -1,11 +1,13 @@
 """FPT pipeline for Dilation 2-Augmentation when G is K_{d,d}-free.
 
-Stages: conflict graph -> matching-based vertex cover R -> guess of the
-solution edges inside R -> recursive branching on blocking sets around
-high-conflict-degree cover vertices -> twin reduction -> bounded final
-enumeration, the guesses and the enumeration over the kernel's ellipse
-union.  A child's budget is k - |W'| - |E'| with |W'| >= 1 and R grows
-only by W', so every branch cuts the budget and |R| <= 4k + k = 5k.
+Stages: conflict graph -> matching-based vertex cover R -> guesses of the
+solution edges inside R -> below each guess, one node function that
+branches on blocking sets around high-conflict-degree cover vertices and
+otherwise is a leaf: twin reduction, then a bounded final enumeration.
+The guesses and the leaves read the kernel's ellipse union.  A node
+returns a whole solution, one that contains its committed edges, or None.
+A child's budget is k - |W'| - |E'| with |W'| >= 1 and R grows only by W',
+so every branch cuts the budget and |R| <= 4k + k = 5k.
 
 K_{d,d}-freeness of G is a caller contract.  It is not verified up front
 (detection is expensive); if the blocking-set construction ever produces
@@ -15,17 +17,15 @@ aborts loudly instead of answering.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 
 from .graph import Edge, Graph, greedy_maximal_matching, norm_edge
 from .model import ConflictChecker, Instance
 from .oracle import Verdict
 from .search import first_conflict_free, iter_subsets
 from .structured import EngineInapplicable
-
-TWO = Fraction(2)
 
 
 class NotKddFree(RuntimeError):
@@ -75,8 +75,6 @@ def f_value(i: int, k: int, d: int) -> int:
         raise ValueError("need k >= 1 and d >= 1")
     if i == d:
         return d
-    if i == d - 1:
-        return d * k + k * k + k
     return (d * k ** (d - i) + k ** (d - i + 1)
             + 2 * sum(k ** j for j in range(2, d - i + 1)) + k)
 
@@ -91,33 +89,22 @@ def find_blocking_set(ann: AnnotatedInstance, v: int, d: int,
     the node's set of conflict pairs.
     """
     g = Graph(ann.base.n, ann.g_edges)
-    in_r = set(ann.r)
-    i_set = [x for x in range(ann.base.n) if x not in in_r]
-    u_set = {x for x in i_set if norm_edge(v, x) in conflicts}
-    if len(u_set) <= f_value(0, ann.k, d):
+    i_set = [x for x in range(ann.base.n) if x not in ann.r]
+    u_cur = {x for x in i_set if norm_edge(v, x) in conflicts}
+    if len(u_cur) <= f_value(0, ann.k, d):
         raise ValueError("find_blocking_set needs deg_C(v) in I above f(0)")
     witnesses: list[int] = []
-    u_cur = set(u_set)
-    step = 1
-    while True:
-        best, best_count = None, -1
-        taken = set(witnesses)
-        for w in i_set:
-            if w in taken:
-                continue
-            count = sum(1 for x in g.neighbors(w) if x in u_cur)
-            if count > best_count:
-                best, best_count = w, count
-        if best is None or best_count <= f_value(step, ann.k, d):
-            if step == 1:
-                return None
-            break
+    for step in count(1):
+        # The first vertex of I with the most G-neighbors in u_cur wins.
+        hits = {w: len(u_cur.intersection(g.neighbors(w)))
+                for w in i_set if w not in witnesses}
+        best = max(hits, key=hits.__getitem__, default=None)
+        if best is None or hits[best] <= f_value(step, ann.k, d):
+            return BlockingSet(center=v, witnesses=tuple(witnesses)) if witnesses else None
         witnesses.append(best)
-        u_cur &= set(g.neighbors(best))
         if len(witnesses) == d:
             raise NotKddFree("input not K_{d,d}-free: found d witnesses")
-        step += 1
-    return BlockingSet(center=v, witnesses=tuple(witnesses))
+        u_cur &= set(g.neighbors(best))
 
 
 def branch_blocking(ann: AnnotatedInstance, bs: BlockingSet) -> list[AnnotatedInstance]:
@@ -129,21 +116,15 @@ def branch_blocking(ann: AnnotatedInstance, bs: BlockingSet) -> list[AnnotatedIn
     g_cur = ann.g_edges
     usable = sorted(w for w in bs.witnesses if norm_edge(v, w) not in g_cur)
     children = []
-    for size_w in range(1, min(len(usable), ann.k) + 1):
-        for wprime in combinations(usable, size_w):
-            wset = set(wprime)
-            pool = wset | (set(ann.r) - {v})
-            eligible = [(a, b) for a, b in combinations(sorted(pool), 2)
-                        if (a, b) not in g_cur and (a in wset or b in wset)]
-            budget_left = ann.k - size_w
-            commit_w = frozenset(norm_edge(v, w) for w in wprime)
-            for size_e in range(budget_left + 1):
-                for ex in combinations(eligible, size_e):
-                    children.append(AnnotatedInstance(
-                        base=ann.base,
-                        added=ann.added | commit_w | frozenset(ex),
-                        k=budget_left - size_e,
-                        r=tuple(sorted(set(ann.r) | wset))))
+    for wprime in islice(iter_subsets(usable, ann.k), 1, None):  # W' is not empty
+        r = tuple(sorted(set(ann.r).union(wprime)))
+        eligible = [(a, b) for a, b in combinations(r, 2) if (a, b) not in g_cur
+                    and v not in (a, b) and (a in wprime or b in wprime)]
+        budget_left = ann.k - len(wprime)
+        added = ann.added.union(norm_edge(v, w) for w in wprime)
+        for ex in iter_subsets(eligible, budget_left):
+            children.append(AnnotatedInstance(base=ann.base, added=added | frozenset(ex),
+                                              k=budget_left - len(ex), r=r))
     return children
 
 
@@ -161,9 +142,7 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: frozenset[Edge]) -> ReducedSe
     g_cur = ann.g_edges
     gamma = ann.base.gamma
     classes: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-    for v in range(ann.base.n):
-        if v in vc:
-            continue
+    for v in set(range(ann.base.n)) - vc:
         # kdd refuses weighted Gamma, so d_Gamma(u, v) = 1 means adjacency.
         near = vc.intersection(gamma.neighbors(v))
         a = frozenset(u for u in near if norm_edge(u, v) in g_cur)
@@ -173,51 +152,40 @@ def twin_reduce(ann: AnnotatedInstance, conflicts: frozenset[Edge]) -> ReducedSe
     return ReducedSearch(candidates=tuple(sorted(vc | reps)))
 
 
-def _final_enumeration(ann: AnnotatedInstance, conflicts: frozenset[Edge],
-                       root: ConflictChecker) -> frozenset[Edge] | None:
-    """Search the ellipse edges of the pending pairs between allowed ends,
-    not inside R: an edge outside every pending ellipse fixes no pair."""
-    allowed = set(twin_reduce(ann, conflicts).candidates)
-    in_r = set(ann.r)
-    g_cur = ann.g_edges
-    candidates = [(a, b) for a, b in root.ellipse_union(conflicts)
-                  if {a, b} <= allowed and (a, b) not in g_cur and not {a, b} <= in_r]
-    return first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
-
-
 def _solve_annotated(ann: AnnotatedInstance, d: int, root: ConflictChecker,
                      pending: frozenset[Edge]) -> frozenset[Edge] | None:
-    """Solve below ``ann``; ``pending`` holds its parent's conflict pairs,
-    a superset of its own since ``ann.added`` holds the parent's edges."""
+    """A solution that contains ``ann.added``, found below ``ann``, or
+    None.  ``pending`` holds its parent's conflict pairs, a superset of its
+    own since ``ann.added`` holds the parent's edges."""
     if ann.k == 0:
-        return None if next(root.violated(ann.added, pending), None) else frozenset()
+        return None if next(root.violated(ann.added, pending), None) else ann.added
     conflicts = frozenset(root.violated(ann.added, pending))
     if not conflicts:
-        return frozenset()
+        return ann.added
     in_r = set(ann.r)
+    partners = Counter(x for e in conflicts for x, y in (e, e[::-1]) if y not in in_r)
     f0 = f_value(0, ann.k, d)
-    high = None
-    for v in ann.r:
-        deg = sum(1 for u, w in conflicts
-                  for x, y in ((u, w), (w, u)) if x == v and y not in in_r)
-        if deg > f0:
-            high = v
-            break
+    high = next((v for v in ann.r if partners[v] > f0), None)
     if high is not None:
         bs = find_blocking_set(ann, high, d, conflicts)
         if bs is None:
             return None
         for child in branch_blocking(ann, bs):
-            below = _solve_annotated(child, d, root, conflicts)
-            if below is not None:
-                return (child.added - ann.added) | below
+            solution = _solve_annotated(child, d, root, conflicts)
+            if solution is not None:
+                return solution
         return None
-    return _final_enumeration(ann, conflicts, root)
+    # The leaf: an edge outside every pending ellipse fixes no pair.
+    allowed = set(twin_reduce(ann, conflicts).candidates)
+    candidates = [(a, b) for a, b in root.ellipse_union(conflicts)
+                  if {a, b} <= allowed and (a, b) not in ann.added and not {a, b} <= in_r]
+    below = first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
+    return None if below is None else ann.added | below
 
 
 def kdd_inapplicable(inst: Instance) -> str | None:
     """Why ``solve_kdd`` cannot decide ``inst``; None if it can."""
-    if inst.t != TWO:
+    if inst.t != 2:
         return "kdd engine requires t = 2"
     if not inst.gamma.is_unweighted():
         return "kdd engine requires an unweighted gamma"
@@ -239,8 +207,6 @@ def solve_kdd(inst: Instance, d: int) -> Verdict:
     # kernel's closure over their endpoints replaces n Dijkstra runs.
     root = ConflictChecker(inst)
     conflicts = frozenset(root.pairs)
-    if not conflicts:
-        return Verdict.of(())
     matching = greedy_maximal_matching(conflicts)
     if len(matching) > 2 * inst.k:
         return Verdict.no()
@@ -252,7 +218,7 @@ def solve_kdd(inst: Instance, d: int) -> Verdict:
     for committed in map(frozenset, iter_subsets(inside_r, inst.k)):
         ann = AnnotatedInstance(base=inst, added=committed,
                                 k=inst.k - len(committed), r=r)
-        below = _solve_annotated(ann, d, root, conflicts)
-        if below is not None:
-            return Verdict.of(committed | below)
+        solution = _solve_annotated(ann, d, root, conflicts)
+        if solution is not None:
+            return Verdict.of(solution)
     return Verdict.no()

@@ -412,6 +412,14 @@ class TestGen:
         assert code == EXIT_USAGE
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generator", ["mcq", "domset", "spanner", "diam2k"])
+    def test_epsilon_is_for_diam2w_only(self, tmp_path, capsys, generator):
+        src = tmp_path / "src.txt"
+        src.write_text("p src 2 2\ne 1 2\nv 1 1\nv 2 2\n")
+        assert cli("gen", generator, "--source", str(src), "--epsilon", "1/2") == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "epsilon" in err
+
     def test_diam2w(self, tmp_path):
         src = tmp_path / "src.txt"
         src.write_text("p src 4 1\ne 1 2\ne 2 3\ne 3 4\n")
@@ -425,6 +433,9 @@ class TestGen:
         ("domset", "p src 3 1\ne 1 b\n", 2),
         ("mcq", "p src 2 2\ne 1 2\nv 1 q\nv 2 2\n", 3),
         ("domset", "p src 3 1\ne 1 3\np src 2 1\n", 3),
+        ("mcq", "p src 4 2\ne 1 3\nv 1 1\nv 2 1\nv 3 2\nv 4 3\n", 6),
+        ("mcq", "p src 2 2\ne 1 2\nv 1 0\nv 2 2\n", 3),
+        ("mcq", "p src 2 2\ne 1 2\nv 1 1\nv 2 2\nv 1 2\n", 5),
     ])
     def test_malformed_source_is_usage_error(self, tmp_path, capsys, generator,
                                              source, line):

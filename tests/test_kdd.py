@@ -10,7 +10,8 @@ from dilaug.graph import Graph
 from dilaug.kdd import (AnnotatedInstance, BlockingSet, NotKddFree,
                         branch_blocking, f_value, find_blocking_set,
                         solve_kdd, twin_reduce)
-from dilaug.model import adjacent_conflicts, build_instance, verify_solution
+from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
+                          verify_solution)
 from dilaug.oracle import solve_min
 from dilaug.randinst import random_instance
 from dilaug.structured import EngineInapplicable
@@ -34,6 +35,11 @@ class TestFValue:
         if i > d:
             return
         assert f_value(i - 1, k, d) == (f_value(i, k, d) + k) * k + k
+
+    def test_next_to_last_threshold(self):
+        for d in range(1, 9):
+            for k in range(1, 9):
+                assert f_value(d - 1, k, d) == d * k + k * k + k
 
     def test_monotone_decreasing_in_i(self):
         for d in range(1, 5):
@@ -76,6 +82,18 @@ class TestBlockingSet:
         ann = AnnotatedInstance(base=inst, added=frozenset(), k=1, r=(0,))
         bs = find_blocking_set(ann, 0, 2, node_conflicts(ann))
         assert bs == BlockingSet(center=0, witnesses=(8,))
+
+    def test_tied_witnesses_over_two_steps(self):
+        # K_{2,10}: 11 and 12 are G-adjacent to the ten Gamma partners of
+        # the center, which tie at ten hits.  The thresholds f(0..3, 1, 3)
+        # are 9, 7, 5, 3: 11 wins the tie at step 1, 12 joins at step 2,
+        # and no third vertex has a hit.
+        gamma_edges = [(x, i) for x in (0, 11, 12) for i in range(1, 11)]
+        g_edges = [(x, i) for x in (11, 12) for i in range(1, 11)]
+        inst = build_instance(Graph(13, gamma_edges), g_edges, 1, Fraction(2))
+        ann = AnnotatedInstance(base=inst, added=frozenset(), k=1, r=(0,))
+        bs = find_blocking_set(ann, 0, 3, node_conflicts(ann))
+        assert bs == BlockingSet(center=0, witnesses=(11, 12))
 
     def test_low_degree_precondition_enforced(self):
         ann = star_annotated(3)
@@ -180,6 +198,18 @@ class TestSolveKdd:
         inst = build_instance(gamma, [], 3, Fraction(2))
         verdict = solve_kdd(inst, 2)
         assert verdict.yes and verify_solution(inst, verdict.solution).ok
+
+    def test_node_returns_whole_solution(self):
+        # Below a node that has committed (0, 1), the leaf adds (0, 2) and
+        # (0, 3); the node answers with all three.
+        gamma = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        inst = build_instance(gamma, [], 3, Fraction(2))
+        root = ConflictChecker(inst)
+        added = frozenset({(0, 1)})
+        ann = AnnotatedInstance(base=inst, added=added, k=2, r=(0,))
+        solution = kdd._solve_annotated(ann, 2, root, frozenset(root.pairs))
+        assert solution is not None and added <= solution
+        assert verify_solution(inst, solution).ok
 
     def test_matching_cutoff(self, monkeypatch):
         # 2k+1 independent conflict edges cannot be covered by k added
