@@ -4,8 +4,8 @@ Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage, parse, file
 read or write, or engine-inapplicability errors, 3 = the engine could not
 answer (the kdd contract was broken, a search cap was hit, or a YES
 certificate failed verification), or --d is below 1, whatever the engine.
-Output is deterministic for fixed inputs, engine and seed; ``auto`` routes
-on the instance alone, so its output is brute's whatever the flags.
+Output is deterministic for fixed inputs, engine and seed; ``auto`` runs
+bounded-gamma, so its output is brute's whatever the flags.
 """
 
 from __future__ import annotations
@@ -42,21 +42,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _pick_auto(inst: Instance) -> str:
-    # bounded-gamma tests the smaller of the Gamma and G balls itself.
-    return "tree" if structured.tree_inapplicable(inst) is None else "bounded-gamma"
-
-
 def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
     if d is not None and d < 1:
         raise CliError(f"--d must be at least 1, got {d}", EXIT_ENGINE)
-    if engine == "auto":
-        engine = _pick_auto(inst)
     if engine == "brute":
         return oracle.solve_min(inst)
     if engine == "tree":
         return structured.solve_tree_gamma(inst)
-    if engine == "bounded-gamma":
+    if engine in ("bounded-gamma", "auto"):
         return structured.solve_bounded_gamma(inst)
     if engine == "bounded-g":
         return structured.solve_bounded_g(inst)
@@ -145,8 +138,6 @@ def cmd_gen(args, out) -> int:
 def _applicable_engines(inst: Instance) -> list[str]:
     """Names of the engines besides brute that can decide ``inst``."""
     names = ["bounded-gamma", "bounded-g"]
-    if structured.tree_inapplicable(inst) is None:
-        names.append("tree")
     # A forest is K_{2,2}-free, so d = 2 keeps the kdd contract.
     if kdd.kdd_inapplicable(inst) is None and Graph(inst.n, inst.g_edges).is_forest():
         names.append("kdd")
@@ -159,8 +150,9 @@ def cmd_fuzz(args, out) -> int:
     rng = random.Random(args.seed)
     failures = 0
     for i in range(args.count):
-        weighted = i % 2 == 1  # even draws have a forest G, for kdd and tree
+        weighted = i % 2 == 1  # even draws have a forest G, for kdd
         inst = random_instance(rng, n_max=8, k_max=2, forest_g=not weighted,
+                               tree_gamma=i % 3 == 2,
                                ts=STRETCHES if weighted else DEFAULT_TS,
                                max_weight=4 if weighted else 1)
         expected = oracle.solve_min(inst)

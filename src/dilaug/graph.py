@@ -170,9 +170,6 @@ class Graph:
             return True
         return INF not in self.hop_distances(0)
 
-    def is_tree(self) -> bool:
-        return len(self.edges) == self.n - 1 and self.is_connected()
-
     def is_forest(self) -> bool:
         parent = list(range(self.n))
         for u, v in self.edges:

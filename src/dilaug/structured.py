@@ -1,12 +1,15 @@
-"""Tree-metric polynomial engine and the bounded-degree engine.
+"""The bounded-degree engine, under the names of the paper's two
+parameterizations and of the tree engine.
 
-The bounded-degree engine localizes the search: a minimum solution uses
-only edges in the metric ellipse of some conflict pair, so enumeration is
-restricted to the union of those ellipses, on weighted Gamma too.  On
-unweighted Gamma the conflict vertices lie within floor(t) hops of a
-solution's ends, in Gamma and in G, which bounds their number by the
-smaller maximum degree.  The engine is correct for any degree, merely slow
-when both are large; its two names are the paper's two parameterizations.
+The engine localizes the search: a minimum solution uses only edges in the
+metric ellipse of some conflict pair, so enumeration is restricted to the
+union of those ellipses, on weighted Gamma too.  On unweighted Gamma the
+conflict vertices lie within floor(t) hops of a solution's ends, in Gamma
+and in G, which bounds their number by the smaller maximum degree.  The
+engine is correct for any degree, merely slow when both are large.  When
+Gamma is an unweighted tree and t < 3, the ellipse of each conflict pair
+holds only the pair itself, so the search's forced-edge rule decides the
+instance without enumerating a subset.
 """
 
 from __future__ import annotations
@@ -20,36 +23,6 @@ from .search import first_conflict_free
 
 class EngineInapplicable(ValueError):
     """The instance violates a structural precondition of the engine."""
-
-
-def tree_inapplicable(inst: Instance) -> str | None:
-    """Why ``solve_tree_gamma`` cannot decide ``inst``; None if it can."""
-    if not inst.gamma.is_tree():
-        return "gamma is not a tree"
-    if not inst.gamma.is_unweighted():
-        # With weights a detour around a tree edge of weight w costs only
-        # w + 2 * (lightest edge), so the edge is no longer forced.
-        return "tree engine requires an unweighted gamma"
-    if inst.t >= 3:
-        # A tree edge (u, v) missing from G+S could be bridged by a longer
-        # detour once t reaches 3, so the forced-edge argument only covers
-        # integral distances <= 2, i.e. t < 3.
-        return "tree engine requires t < 3"
-    return None
-
-
-def solve_tree_gamma(inst: Instance) -> Verdict:
-    """When Gamma is an unweighted tree, every solution must contain all
-    tree edges missing from G; the only question is whether they fit in the
-    budget.
-    """
-    reason = tree_inapplicable(inst)
-    if reason is not None:
-        raise EngineInapplicable(reason)
-    missing = sorted(inst.gamma.edges - inst.g_edges)
-    if len(missing) > inst.k:
-        return Verdict.no()
-    return Verdict.of(missing)
 
 
 def _ball_size_bound(count: int, delta: int, radius: int) -> int:
@@ -83,4 +56,10 @@ def solve_bounded_gamma(inst: Instance) -> Verdict:
 
 def solve_bounded_g(inst: Instance) -> Verdict:
     """FPT in k + t + the maximum degree of G (see ``_solve_bounded``)."""
+    return _solve_bounded(inst)
+
+
+def solve_tree_gamma(inst: Instance) -> Verdict:
+    """Exact on every instance (see ``_solve_bounded``); on an unweighted
+    tree Gamma with t < 3 the missing tree edges are forced."""
     return _solve_bounded(inst)

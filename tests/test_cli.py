@@ -133,7 +133,8 @@ class TestSolve:
         assert text == "YES\ns 1 2\ns 2 3\n"
 
     def test_inapplicable_engine_is_usage_error(self, triangle_file, capsys):
-        code, _ = cli("solve", "--engine", "tree", "--input", triangle_file)
+        # kdd requires t = 2; the triangle has t = 3/2.
+        code, _ = cli("solve", "--engine", "kdd", "--d", "2", "--input", triangle_file)
         assert code == EXIT_USAGE
         assert "inapplicable" in capsys.readouterr().err
 
@@ -162,12 +163,11 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "metric undefined: gamma is disconnected" in capsys.readouterr().err
 
-    def test_auto_avoids_tree_on_weighted_tree(self, tmp_path):
+    def test_tree_engine_prints_brute_on_weighted_tree(self, tmp_path):
         path = tmp_path / "wtree.dilaug"
         path.write_text(WEIGHTED_TREE)
-        assert cli("solve", "--input", str(path)) == (EXIT_YES, "YES\n")
-        code, _ = cli("solve", "--engine", "tree", "--input", str(path))
-        assert code == EXIT_USAGE
+        for engine in ("brute", "tree", "auto"):
+            assert cli("solve", "--engine", engine, "--input", str(path)) == (EXIT_YES, "YES\n")
 
     def test_auto_never_calls_brute(self, triangle_file, monkeypatch):
         def refuse(*args, **kwargs):

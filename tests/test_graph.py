@@ -179,12 +179,6 @@ class TestDistances:
 
 
 class TestStructure:
-    def test_is_tree(self):
-        assert Graph(4, [(0, 1), (1, 2), (1, 3)]).is_tree()
-        assert not Graph(3, [(0, 1), (1, 2), (0, 2)]).is_tree()
-        assert not Graph(4, [(0, 1), (2, 3)]).is_tree()
-        assert Graph(1).is_tree()
-
     def test_is_connected(self):
         assert Graph(1).is_connected()
         assert Graph(2, [(0, 1)]).is_connected()

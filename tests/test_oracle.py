@@ -4,11 +4,13 @@ from itertools import combinations
 
 import pytest
 
+from dilaug import search
 from dilaug.graph import Graph, norm_edge
 from dilaug.model import ConflictChecker, build_instance, verify_solution
 from dilaug.oracle import SearchBudgetExceeded, Verdict, solve_min
 from dilaug.randinst import random_instance
 from dilaug.search import first_conflict_free, iter_subsets
+from dilaug.structured import solve_bounded_gamma
 
 
 class TestIterSubsets:
@@ -107,3 +109,24 @@ class TestFirstConflictFree:
         checker = ConflictChecker(star_instance)
         conflicts = frozenset(checker.violated())
         assert first_conflict_free(checker, conflicts, [(1, 2)], 1) is None
+
+    def test_masks_decide_without_a_prefix_loop(self, star_instance, monkeypatch):
+        # Weighted Gamma, so no ball bound: each pair's ellipse is the pair
+        # alone, and five disjoint masks exceed k = 2.
+        path = Graph(6, [(v, v + 1) for v in range(5)], {(0, 1): 3, (2, 3): 3, (4, 5): 3})
+        packed = build_instance(path, [], 2, Fraction(3, 2))
+        # On an unweighted tree at t < 3 every missing edge is forced.
+        tree = build_instance(Graph(4, [(0, 1), (1, 2), (1, 3)]), [(1, 2)], 2, 2)
+        expected = [solve_min(packed), solve_min(tree)]
+        assert expected == [Verdict.no(), Verdict.of([(0, 1), (1, 3)])]
+        loops = []
+        monkeypatch.setattr(search, "combinations",
+                            lambda *args: loops.append(args) or combinations(*args))
+        assert [solve_bounded_gamma(packed), solve_bounded_gamma(tree)] == expected
+        # The pending pair (0, 3) has an empty mask, as at a kdd leaf.
+        checker = ConflictChecker(star_instance)
+        conflicts = frozenset(checker.violated())
+        assert first_conflict_free(checker, conflicts, [(1, 2)], 1) is None
+        # Two empty masks and one singleton: the packing fits k = 3.
+        assert first_conflict_free(checker, conflicts, [(0, 1), (1, 2)], 3) is None
+        assert loops == []

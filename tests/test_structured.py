@@ -8,10 +8,10 @@ from dilaug import structured
 from dilaug.graph import Graph, ball
 from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
                           verify_solution)
-from dilaug.oracle import solve_min
-from dilaug.randinst import random_instance
-from dilaug.structured import (EngineInapplicable, solve_bounded_g,
-                               solve_bounded_gamma, solve_tree_gamma)
+from dilaug.oracle import Verdict, solve_min
+from dilaug.randinst import STRETCHES, random_instance
+from dilaug.structured import (solve_bounded_g, solve_bounded_gamma,
+                               solve_tree_gamma)
 
 from conftest import far_bridge_instance, max_degree
 
@@ -33,38 +33,30 @@ class TestTreeEngine:
         inst = build_instance(gamma, gamma.edges, 0, Fraction(3, 2))
         assert solve_tree_gamma(inst).solution == frozenset()
 
-    def test_non_tree_rejected(self, triangle_path_instance):
-        with pytest.raises(EngineInapplicable):
-            solve_tree_gamma(triangle_path_instance)
+    def test_non_tree_matches_brute(self, triangle_path_instance):
+        assert solve_tree_gamma(triangle_path_instance) == solve_min(triangle_path_instance)
 
-    def test_weighted_tree_rejected(self):
+    def test_weighted_tree_matches_brute(self):
         # The detour 0-2-1 has length 12 <= 3/2 * 10, so the missing tree
         # edge 0-1 is not forced: brute says YES with k = 0.
         gamma = Graph(3, [(0, 1), (1, 2)], {(0, 1): 10})
         inst = build_instance(gamma, [(1, 2), (0, 2)], 0, Fraction(3, 2))
-        assert solve_min(inst).yes
-        with pytest.raises(EngineInapplicable):
-            solve_tree_gamma(inst)
+        assert solve_tree_gamma(inst) == solve_min(inst) == Verdict.of([])
 
-    def test_large_stretch_rejected(self):
-        # At t >= 3 a missing tree edge can be served by a detour, so the
-        # forced-edge argument no longer applies.
+    def test_large_stretch_matches_brute(self):
+        # At t >= 3 a missing tree edge can be served by a detour, so it is
+        # no longer forced.
         gamma = Graph(3, [(0, 1), (1, 2)])
         inst = build_instance(gamma, [], 2, 3)
-        with pytest.raises(EngineInapplicable):
-            solve_tree_gamma(inst)
+        assert solve_tree_gamma(inst) == solve_min(inst)
 
     def test_agrees_with_oracle(self):
         rng = random.Random(1001)
         for i in range(250):
-            inst = random_instance(rng, n_max=8, k_max=3,
-                                   ts=(Fraction(3, 2), Fraction(2)),
-                                   tree_gamma=True, forest_g=(i % 2 == 0))
-            got = solve_tree_gamma(inst)
-            expected = solve_min(inst)
-            assert got.yes == expected.yes
-            if got.yes:
-                assert verify_solution(inst, got.solution).ok
+            inst = random_instance(rng, n_max=8, k_max=3, ts=STRETCHES,
+                                   tree_gamma=True, forest_g=(i % 2 == 0),
+                                   max_weight=4 if i % 3 == 2 else 1)
+            assert solve_tree_gamma(inst) == solve_min(inst)
 
 
 class TestBoundedEngines:
