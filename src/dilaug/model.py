@@ -76,10 +76,12 @@ class Instance:
 
     @cached_property
     def _pairs(self) -> dict[Edge, float]:
-        """Pair -> d_Gamma, by one memoised ``within`` query over Gamma that
-        never looks past the pair's Gamma weight (INF off Gamma)."""
+        """Pair -> d_Gamma, by one memoised ``within`` query over Gamma for
+        a path shorter than the pair's Gamma weight w (INF off Gamma, so no
+        cap); it never pushes the edge itself, and min(w, path) is d_Gamma."""
         adj, weight = self.gamma.adj, self.gamma.weight  # no cycle through self
-        return _Rows(lambda e: within(adj, e[0], e[1], weight.get(e, INF)))
+        return _Rows(lambda e: min(weight.get(e, INF),
+                                   within(adj, e[0], e[1], weight.get(e, INF) - 1)))
 
     def d_gamma(self, u: int, v: int) -> int:
         """d_Gamma(u, v), from the full row of min(u, v) if there is one.
@@ -165,23 +167,38 @@ def _violations(inst: Instance, s: Iterable[Edge]) -> Iterator[Edge]:
     lazily and in order.
 
     A pair that is itself an edge of G + S is within its limit.  Each
-    other (open) pair is first checked by ``within``, which stops at the
-    first path within the limit, over the G + S edges on Gamma at their
-    Gamma weights, upper bounds of d_Gamma: a pair cleared there is cleared
-    in G + S.  A pair left is checked again over G + S at exact weights,
-    each row weighted on first use.
+    other (open) pair, of Gamma weight w, is first checked by ``within``,
+    which stops at the first walk within its cap, over the *upper graph*:
+    the G + S edges on Gamma at their Gamma weights, upper bounds of
+    d_Gamma.  The cap is ``stretch_limit(w)``.  A walk of length L clears
+    the pair once d_Gamma >= need, the least d with t * d >= L: when
+    need <= 2 (need <= w, and any other path has two edges), or when Gamma
+    has no path of length need - 1 or less.  Else that query is d_Gamma,
+    and the pair is checked at its limit over the upper graph, then over
+    G + S at exact weights.  Every row is built on first read.
     """
-    gamma, present = inst.gamma, inst.g_edges.union(s)
-    upper: list[list[tuple[int, float]]] = [[] for _ in range(inst.n)]
-    for a, b in present:  # an edge off Gamma has no such bound: inf
-        w = gamma.weight.get((a, b), 1) if (a, b) in gamma.edges else INF
-        upper[a].append((b, w))
-        upper[b].append((a, w))
-    exact = _Rows(lambda a: [(b, inst.d_gamma(a, b)) for b, _ in upper[a]])
+    gamma, t, present = inst.gamma, inst.t, inst.g_edges.union(s)
+    chords: dict[int, list[int]] = {}  # G + S edges off Gamma, not in upper
+    for a, b in present - gamma.edges:
+        chords.setdefault(a, []).append(b)
+        chords.setdefault(b, []).append(a)
+    upper = _Rows(lambda a: [(b, w) for b, w in gamma.adj[a]
+                             if ((a, b) if a < b else (b, a)) in present])
+    exact = _Rows(lambda a: [(b, inst.d_gamma(a, b)) for b in
+                             [b for b, _ in upper[a]] + chords.get(a, [])])
     for u, v in sorted(gamma.edges - present):
-        lim = stretch_limit(inst.d_gamma(u, v), inst.t)
-        if (within(upper, u, v, lim, first=True) > lim
-                and within(exact, u, v, lim, first=True) > lim):
+        top = stretch_limit(gamma.weight.get((u, v), 1), t)
+        walk = within(upper, u, v, top, first=True)
+        if walk <= top:
+            need = -(-walk * t.denominator // t.numerator)
+            if need <= 2 or (d := within(gamma.adj, u, v, need - 1)) > need - 1:
+                continue
+            lim = stretch_limit(d, t)
+            if within(upper, u, v, lim, first=True) <= lim:
+                continue
+        else:
+            lim = stretch_limit(inst.d_gamma(u, v), t)
+        if within(exact, u, v, lim, first=True) > lim:
             yield u, v
 
 

@@ -302,10 +302,11 @@ class TestVerify:
         assert not inst.gamma_rows
 
     def test_verify_runs_gamma_only_from_open_pairs(self, tmp_path, monkeypatch):
-        # Every Gamma edge weighs 3, so each is a shortest path, and G has
-        # no chord: the scan's first check is exact and a valid S leaves no
-        # pair to re-check.  d_Gamma is read only for the open pairs'
-        # limits, by one pair query over Gamma each, and for no G edge.
+        # Every Gamma edge weighs 3 and G has no chord, so at t = 2 the
+        # scan's first check finds each open pair a walk of length 6 in
+        # G + S, which needs d_Gamma >= 3: one query over Gamma per open
+        # pair asks for a path of length 2 or less, finds none and clears
+        # the pair.  No pair is re-checked, and no G edge is weighed.
         rng = random.Random(502)
         n = 40
         gamma_edges = sorted(random_connected_gamma(rng, n, extra_p=4 / n).edges)
@@ -324,14 +325,16 @@ class TestVerify:
         real = model.within
 
         def counted(adj, u, v, cap, first=False):
-            queries.append((adj, u, v))
+            queries.append((adj, u, v, cap))
             return real(adj, u, v, cap, first)
 
         monkeypatch.setattr(model, "within", counted)
         code, text = cli("verify", "--input", str(inst_file), "--solution", str(sol_file))
         assert (code, text) == (EXIT_YES, "valid\n")
         [inst] = built
-        assert [(u, v) for adj, u, v in queries if adj is inst.gamma.adj] == open_pairs
+        on_gamma = [(u, v, cap) for adj, u, v, cap in queries if adj is inst.gamma.adj]
+        assert [(u, v) for u, v, _ in on_gamma] == open_pairs
+        assert {cap for _, _, cap in on_gamma} == {2}
         assert not inst.gamma_rows
 
     def test_large_weighted_bounded_solve_builds_no_full_table(self, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilaug import model
 from dilaug.graph import Graph
 from dilaug.model import (ConflictChecker, InstanceError, MetricUndefinedError,
                           VerifyResult, adjacent_conflicts, build_instance,
@@ -139,7 +140,10 @@ class TestConflicts:
 
 class TestTwoPassScan:
     """The scan first bounds G + S by its Gamma edges at their Gamma weights,
-    then re-checks exactly the pairs that bound leaves above their limit."""
+    capped at each pair's stretched Gamma weight.  A walk found there
+    clears the pair once Gamma has no path short enough to put the walk
+    above t * d_Gamma; else the scan re-checks the pair at its limit, over
+    that bound and then exactly."""
 
     @staticmethod
     def expected(inst, s=frozenset()):
@@ -179,6 +183,44 @@ class TestTwoPassScan:
         conflicts, suspects = self.expected(inst, s)
         assert conflicts == {(1, 2)} and min(suspects) == (0, 3)
         assert verify_solution(inst, s) == VerifyResult(False, "conflict(1,2)")
+
+    @staticmethod
+    def shortcut_instance(t):
+        """d_Gamma(0, 3) = 4 through vertex 1, below the weight 6 of the
+        Gamma edge (0, 3); G's walk 0-2-3 from 0 to 3 has length 7."""
+        weights = {(0, 3): 6, (0, 1): 2, (1, 3): 2, (0, 2): 3, (2, 3): 4}
+        return build_instance(Graph(4, weights, weights), [(0, 2), (2, 3)], 2, t)
+
+    @staticmethod
+    def gamma_queries(inst, monkeypatch):
+        """The (pair, cap) of each ``within`` query over Gamma's adjacency."""
+        queries, real = [], model.within
+
+        def counted(adj, u, v, cap, first=False):
+            if adj is inst.gamma.adj:
+                queries.append(((u, v), cap))
+            return real(adj, u, v, cap, first)
+        monkeypatch.setattr(model, "within", counted)
+        return queries
+
+    def test_cleared_by_one_query_below_the_walk(self, monkeypatch):
+        # At t = 2 the walk 0-2-3 (7 <= 2 * 6) needs d_Gamma(0, 3) >= 4, so
+        # one query asks whether Gamma has a path of length 3 or less.
+        inst = self.shortcut_instance(2)
+        queries = self.gamma_queries(inst, monkeypatch)
+        assert adjacent_conflicts(inst) == self.expected(inst)[0] == {(0, 1), (1, 3)}
+        assert [q for q in queries if q[0] == (0, 3)] == [((0, 3), 3)]
+
+    def test_walk_within_the_stretched_weight_is_not_enough(self):
+        # At t = 3/2 the walk fits 3/2 * 6 = 9 but not 3/2 * d_Gamma = 6.
+        inst = self.shortcut_instance(Fraction(3, 2))
+        assert adjacent_conflicts(inst) == self.expected(inst)[0] == {(0, 1), (0, 3), (1, 3)}
+
+    def test_pair_query_asks_for_a_strictly_shorter_path(self, monkeypatch):
+        inst = self.shortcut_instance(2)
+        queries = self.gamma_queries(inst, monkeypatch)
+        assert (inst.d_gamma(2, 3), inst.d_gamma(0, 3)) == (4, 4)
+        assert queries == [((2, 3), 3), ((0, 3), 5)]
 
 
 class TestDilation:
