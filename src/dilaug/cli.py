@@ -136,8 +136,9 @@ def cmd_gen(args, out) -> int:
 
 
 def _applicable_engines(inst: Instance) -> list[str]:
-    """Names of the engines besides brute that can decide ``inst``."""
-    names = ["bounded-gamma", "bounded-g"]
+    """Names of the engines besides brute that can decide ``inst``.
+    ``bounded-g`` and ``tree`` run ``bounded-gamma``'s body, not listed."""
+    names = ["bounded-gamma"]
     # A forest is K_{2,2}-free, so d = 2 keeps the kdd contract.
     if kdd.kdd_inapplicable(inst) is None and Graph(inst.n, inst.g_edges).is_forest():
         names.append("kdd")

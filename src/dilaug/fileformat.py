@@ -172,6 +172,8 @@ def parse_source(text: str, want_partition: bool
             if len(parts) != 4 or parts[1] != "src":
                 raise ParseError("header must be 'p src <n> <k>'", lineno)
             header = (_int(parts[2], "n", lineno), _int(parts[3], "k", lineno))
+            if header[0] < 1 or header[1] < 0:
+                raise ParseError("need n >= 1 and k >= 0", lineno)
         elif kind == "e":
             if header is None or len(parts) != 3:
                 raise ParseError("bad edge line", lineno)

@@ -190,24 +190,8 @@ def ball(g: Graph, w: Sequence[int], radius: int) -> list[int]:
     """
     if radius < 0:
         raise GraphError("radius must be nonnegative")
-    seen = {}
-    queue = deque()
-    for v in w:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range [0, {g.n})")
-        if v not in seen:
-            seen[v] = 0
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
-        du = seen[u]
-        if du == radius:
-            continue
-        for v, _ in g.adj[u]:
-            if v not in seen:
-                seen[v] = du + 1
-                queue.append(v)
-    return sorted(seen)
+    rows = [g.hop_distances(v) for v in set(w)]
+    return [x for x in range(g.n) if any(row[x] <= radius for row in rows)]
 
 
 def greedy_maximal_matching(edges: Iterable[Edge]) -> frozenset[Edge]:

@@ -156,7 +156,8 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, root: ConflictChecker,
                      pending: frozenset[Edge]) -> frozenset[Edge] | None:
     """A solution that contains ``ann.added``, found below ``ann``, or
     None.  ``pending`` holds its parent's conflict pairs, a superset of its
-    own since ``ann.added`` holds the parent's edges."""
+    own since ``ann.added`` holds the parent's edges.  A leaf is the
+    search's ``first_conflict_free``, a node with the same contract."""
     if ann.k == 0:
         return None if next(root.violated(ann.added, pending), None) else ann.added
     conflicts = frozenset(root.violated(ann.added, pending))
@@ -179,8 +180,7 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, root: ConflictChecker,
     allowed = set(twin_reduce(ann, conflicts).candidates)
     candidates = [(a, b) for a, b in root.ellipse_union(conflicts)
                   if {a, b} <= allowed and (a, b) not in ann.added and not {a, b} <= in_r]
-    below = first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
-    return None if below is None else ann.added | below
+    return first_conflict_free(root, conflicts, candidates, ann.k, ann.added)
 
 
 def kdd_inapplicable(inst: Instance) -> str | None:

@@ -108,15 +108,6 @@ class Instance:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if (u, v) not in present]
 
-    def g_adjacency(self) -> list[list[tuple[int, int]]]:
-        """Weighted adjacency of G, edge weights taken from the metric."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v in self.g_edges:
-            w = self.d_gamma(u, v)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
-
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -231,10 +222,12 @@ def _ellipse(inst: Instance, limit: dict[Edge, int], pair: Edge) -> frozenset[Ed
 class ConflictChecker:
     """Conflict checks of G + S for many small sets S.
 
-    Built once per engine call, it computes no row of distances in G
+    Built once per engine call, it holds G's adjacency ``g_adj``, each
+    edge weighted by its d_Gamma, and computes no row of distances in G
     (``dist``) or Gamma (``inst.gamma_rows``) before its first read.
-    ``limit`` holds the ``stretch_limit`` of each Gamma edge, and the base
-    conflict pairs are the open Gamma edges (not in G) above it in G.
+    ``limit`` holds the ``stretch_limit`` of each open pair, a Gamma edge
+    not in G (one in G is within its limit, since d_G <= d_Gamma), and
+    the base conflict pairs are the open pairs above it in G.
     Adding edges only shortens distances, so no other pair can conflict
     once S is added, and a check of S + S' needs only the pairs still
     pending for S.  ``violated`` is the one query: it finds the pairs S
@@ -249,12 +242,16 @@ class ConflictChecker:
 
     def __init__(self, inst: Instance):
         self.dg = inst.gamma_rows
-        self.g_adj = inst.g_adjacency()
+        self.g_adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
+        for u, v in inst.g_edges:
+            w = inst.d_gamma(u, v)
+            self.g_adj[u].append((v, w))
+            self.g_adj[v].append((u, w))
         self.dist = _Rows(partial(dijkstra, self.g_adj))
         self.limit = {(u, v): stretch_limit(inst.d_gamma(u, v), inst.t)
-                      for u, v in inst.gamma.edges}
+                      for u, v in inst.gamma.edges - inst.g_edges}
         self.pairs = [(u, v) for (u, v), lim in sorted(self.limit.items())
-                      if (u, v) not in inst.g_edges and self.dist[u][v] > lim]
+                      if self.dist[u][v] > lim]
         self.ellipses = _Rows(partial(_ellipse, inst, self.limit))  # no cycle through self
 
     def ellipse_union(self, pairs: Iterable[Edge]) -> list[Edge]:

@@ -24,19 +24,20 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
                         candidates: Sequence[Edge], k: int,
                         committed: Collection[Edge] = frozenset()
                         ) -> frozenset[Edge] | None:
-    """First subset S of ``candidates``, non-edges of G (|S| <= k), in the
-    canonical order, such that G + committed + S is conflict-free; None if
-    there is none.
+    """The whole solution committed + S, for the first subset S of
+    ``candidates``, non-edges of G (|S| <= k), in the canonical order, such
+    that G + committed + S is conflict-free; None if there is none.
 
     ``conflicts`` is the set of pairs in conflict in G + committed.  Only
     they get an ellipse mask, the bits of the candidates in the checker's
     ``ellipses`` of the pair; every S that fixes the pair meets its mask.
     So an empty mask, or more than k pairwise disjoint masks in a greedy
     packing (smallest first), proves that there is no S, and a mask of one
-    bit puts its edge in every S.  Those forced edges F are committed, and
-    the rest is searched with budget k - |F|: two sets of one size are
-    ordered by the least element of their symmetric difference, which F
-    does not touch, so F plus the first set for the rest is the first S.
+    bit puts its edge in every S.  With such forced edges F the answer is
+    this function's own for committed + F, the pairs still pending, the
+    candidates but F and budget k - |F|: two sets of one size are ordered
+    by the least element of their symmetric difference, which F does not
+    touch, so F plus the first set for the rest is the first S.
 
     A combination is checked exactly only if it hits every ellipse mask.
     Each prefix of size - 1 intersects the masks it misses; the last index
@@ -46,12 +47,8 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
     ordered = sorted(candidates)
     base = sorted(committed)
     pending = sorted(conflicts)
-
-    def ellipse_masks() -> list[int]:
-        at = {e: i for i, e in enumerate(ordered)}
-        return [sum(1 << at[e] for e in checker.ellipses[p] if e in at) for p in pending]
-
-    masks = ellipse_masks()
+    at = {e: i for i, e in enumerate(ordered)}
+    masks = [sum(1 << at[e] for e in checker.ellipses[p] if e in at) for p in pending]
     packed = used = 0
     for mask in sorted(masks, key=int.bit_count):
         if not mask & used:
@@ -62,12 +59,11 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
     forced = [e for i, e in enumerate(ordered) if 1 << i in present]
     if forced:
         base += forced
-        pending = list(checker.violated(base, pending))
-        k -= len(forced)
-        ordered = [e for i, e in enumerate(ordered) if 1 << i not in present]
-        masks = ellipse_masks()
+        rest = [e for i, e in enumerate(ordered) if 1 << i not in present]
+        return first_conflict_free(checker, frozenset(checker.violated(base, pending)),
+                                   rest, k - len(forced), base)
     if not pending:
-        return frozenset(forced)
+        return frozenset(base)
     m = len(ordered)
     for size in range(1, min(k, m) + 1):
         for prefix in combinations(range(m - 1), size - 1):
@@ -87,6 +83,6 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
                 combo = prefix + (low.bit_length() - 1,)
                 s = [ordered[i] for i in combo]
                 if next(checker.violated(base + s, pending), None) is None:
-                    return frozenset(forced + s)
+                    return frozenset(base + s)
                 tails ^= low
     return None

@@ -439,6 +439,9 @@ class TestGen:
         ("mcq", "p src 4 2\ne 1 3\nv 1 1\nv 2 1\nv 3 2\nv 4 3\n", 6),
         ("mcq", "p src 2 2\ne 1 2\nv 1 0\nv 2 2\n", 3),
         ("mcq", "p src 2 2\ne 1 2\nv 1 1\nv 2 2\nv 1 2\n", 5),
+        ("spanner", "p src 0 1\n", 1),
+        ("domset", "p src 3 -1\ne 1 2\n", 1),
+        ("domset", "p src -2 1\n", 1),
     ])
     def test_malformed_source_is_usage_error(self, tmp_path, capsys, generator,
                                              source, line):

@@ -82,7 +82,7 @@ class TestLazyMetric:
             return build_instance(inst.gamma, inst.g_edges, inst.k, inst.t)
 
         table = gamma_apsp(inst)  # networkx, like embedded_apsp
-        limit = {e: stretch_limit(table[e], inst.t) for e in inst.gamma.edges}
+        limit = {e: stretch_limit(table[e], inst.t) for e in inst.gamma.edges - inst.g_edges}
         weights = sorted((u, v, table[u, v]) for u, v in inst.g_edges)
         dist = embedded_apsp(inst, s)
         conflicts = {e for e, lim in limit.items() if dist[e] > lim}
@@ -91,7 +91,7 @@ class TestLazyMetric:
 
         lazy = [fresh() for _ in range(4)]
         assert ConflictChecker(lazy[0]).limit == limit
-        assert sorted((u, v, w) for u, row in enumerate(lazy[1].g_adjacency())
+        assert sorted((u, v, w) for u, row in enumerate(ConflictChecker(lazy[1]).g_adj)
                       for v, w in row if u < v) == weights
         assert verify_solution(lazy[2], s) == expected
         assert adjacent_conflicts(lazy[3], s) == conflicts

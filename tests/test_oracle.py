@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from dilaug import search
+from dilaug.fileformat import parse_instance
 from dilaug.graph import Graph, norm_edge
 from dilaug.model import ConflictChecker, build_instance, verify_solution
 from dilaug.oracle import SearchBudgetExceeded, Verdict, solve_min
@@ -95,13 +96,47 @@ class TestSolveMin:
             assert solve_min(inst).yes == solve_min(inst2).yes
 
 
+# Case search-105 of perfbench's search corpus at seed 47.  The mask of the
+# pair (5, 10) (0-based) is that edge alone, and the root packing is 2 <= k;
+# once the edge is committed, (0, 2) and (5, 8) stay pending with disjoint
+# masks {(0, 2), (2, 7)} and {(2, 8), (5, 8), (8, 10)}: 2 > k - 1.
+SEARCH_105 = """p dilaug 13 2 7/3
+e 1 2 3
+e 1 3 2
+e 1 4 2
+e 1 7 2
+e 1 8 1
+e 3 6 2
+e 4 5 3
+e 4 8 4
+e 6 9 4
+e 6 11 1
+e 6 13 4
+e 7 10 2
+e 8 12 1
+e 9 12 4
+g 1 2
+g 1 4
+g 1 7
+g 1 8
+g 3 6
+g 4 5
+g 4 8
+g 5 7
+g 6 13
+g 7 10
+g 8 12
+g 9 12
+"""
+
+
 class TestFirstConflictFree:
     def test_committed_edges_count_toward_result(self, star_instance):
-        # The committed edge fixes the pair (0, 1) but is not returned.
+        # The committed edge fixes the pair (0, 1) and is returned too.
         checker = ConflictChecker(star_instance)
         sol = first_conflict_free(checker, frozenset(checker.violated([(0, 1)])),
                                   [(0, 2), (0, 3)], 2, {(0, 1)})
-        assert sol == frozenset({(0, 2), (0, 3)})
+        assert sol == frozenset({(0, 1), (0, 2), (0, 3)})
         assert first_conflict_free(checker, frozenset(checker.violated()),
                                    [(0, 2), (0, 3)], 2) is None
 
@@ -117,12 +152,14 @@ class TestFirstConflictFree:
         packed = build_instance(path, [], 2, Fraction(3, 2))
         # On an unweighted tree at t < 3 every missing edge is forced.
         tree = build_instance(Graph(4, [(0, 1), (1, 2), (1, 3)]), [(1, 2)], 2, 2)
-        expected = [solve_min(packed), solve_min(tree)]
-        assert expected == [Verdict.no(), Verdict.of([(0, 1), (1, 3)])]
+        # Packing decides only after the forced edge (SEARCH_105 above).
+        forced = parse_instance(SEARCH_105)
+        expected = [solve_min(packed), solve_min(tree), solve_min(forced)]
+        assert expected == [Verdict.no(), Verdict.of([(0, 1), (1, 3)]), Verdict.no()]
         loops = []
         monkeypatch.setattr(search, "combinations",
                             lambda *args: loops.append(args) or combinations(*args))
-        assert [solve_bounded_gamma(packed), solve_bounded_gamma(tree)] == expected
+        assert [solve_bounded_gamma(i) for i in (packed, tree, forced)] == expected
         # The pending pair (0, 3) has an empty mask, as at a kdd leaf.
         checker = ConflictChecker(star_instance)
         conflicts = frozenset(checker.violated())
