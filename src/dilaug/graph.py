@@ -27,23 +27,6 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def dijkstra(adj: Sequence[Sequence[tuple[int, int]]], source: int) -> list[float]:
-    """Distances from ``source`` over a weighted adjacency list."""
-    dist: list[float] = [INF] * len(adj)
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, wt in adj[u]:
-            nd = du + wt
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def within(adj: Mapping[int, Sequence[tuple[int, float]]] | Sequence[Sequence[tuple[int, float]]],
            s: int, t: int, cap: float, first: bool = False) -> float:
     """d(s, t) over ``adj`` if it is at most ``cap``, else INF; with
@@ -161,9 +144,22 @@ class Graph:
         return dist
 
     def weighted_distances(self, source: int) -> list[float]:
-        """``dijkstra`` from ``source`` under this graph's edge weights."""
+        """Dijkstra distances from ``source`` under this graph's edge
+        weights; inf if unreachable."""
         self._check_source(source)
-        return dijkstra(self.adj, source)
+        dist: list[float] = [INF] * self.n
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            for v, wt in self.adj[u]:
+                nd = du + wt
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        return dist
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -203,8 +203,8 @@ def solve_kdd(inst: Instance, d: int) -> Verdict:
     # no node branches, so d = n answers alike without d powers per node.
     d = min(d, inst.n)
     # Every node's conflicts, the root guesses and every leaf's search come
-    # from this one checker of G: a node adds at most k edges, so the
-    # kernel's closure over their endpoints replaces n Dijkstra runs.
+    # from this one checker of G: a node adds at most k edges, and each
+    # check is one capped query per pending pair over G plus those edges.
     root = ConflictChecker(inst)
     conflicts = frozenset(root.pairs)
     matching = greedy_maximal_matching(conflicts)

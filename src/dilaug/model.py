@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
-from operator import add
 from typing import Callable, Collection, Iterable, Iterator
 
-from .graph import INF, Edge, Graph, dijkstra, norm_edge, within
+from .graph import INF, Edge, Graph, norm_edge, within
 
 Stretch = Fraction
 
@@ -223,17 +222,18 @@ class ConflictChecker:
     """Conflict checks of G + S for many small sets S.
 
     Built once per engine call, it holds G's adjacency ``g_adj``, each
-    edge weighted by its d_Gamma, and computes no row of distances in G
-    (``dist``) or Gamma (``inst.gamma_rows``) before its first read.
+    edge weighted by its d_Gamma, and keeps no distances in G; rows of
+    d_Gamma (``inst.gamma_rows``) are computed on first read.
     ``limit`` holds the ``stretch_limit`` of each open pair, a Gamma edge
     not in G (one in G is within its limit, since d_G <= d_Gamma), and
-    the base conflict pairs are the open pairs above it in G.
+    the base conflict pairs are the open pairs that G alone leaves above
+    it, each found by one capped ``within`` query over ``g_adj``.
     Adding edges only shortens distances, so no other pair can conflict
     once S is added, and a check of S + S' needs only the pairs still
     pending for S.  ``violated`` is the one query: it finds the pairs S
-    leaves in conflict, exactly, through the distances among S's
-    endpoints; a caller takes their ``frozenset``, or asks ``next`` for a
-    yes/no answer that stops at the first conflict.
+    leaves in conflict, exactly, with one such query per pair over G + S;
+    a caller takes their ``frozenset``, or asks ``next`` for a yes/no
+    answer that stops at the first conflict.
     ``ellipses[pair]`` holds the non-edges of G in the pair's metric
     ellipse, built once on first read: a set that fixes the pair meets it,
     the quick necessary condition a search tests first.  ``ellipse_union``
@@ -247,11 +247,10 @@ class ConflictChecker:
             w = inst.d_gamma(u, v)
             self.g_adj[u].append((v, w))
             self.g_adj[v].append((u, w))
-        self.dist = _Rows(partial(dijkstra, self.g_adj))
         self.limit = {(u, v): stretch_limit(inst.d_gamma(u, v), inst.t)
                       for u, v in inst.gamma.edges - inst.g_edges}
         self.pairs = [(u, v) for (u, v), lim in sorted(self.limit.items())
-                      if self.dist[u][v] > lim]
+                      if within(self.g_adj, u, v, lim, first=True) > lim]
         self.ellipses = _Rows(partial(_ellipse, inst, self.limit))  # no cycle through self
 
     def ellipse_union(self, pairs: Iterable[Edge]) -> list[Edge]:
@@ -265,27 +264,16 @@ class ConflictChecker:
         every pair in conflict in G + s, as the pending pairs of any subset
         of s do.
 
-        The distances among the endpoints T of s are closed under s one
-        edge at a time; then d(u, v) = min(D[u][v], D[u][x] + C[x][y] +
-        D[y][v]) over x, y in T.
+        Each pair asks ``within`` once, over G plus s's edges at their
+        d_Gamma weights, for a path within its limit.
         """
-        dist, dg = self.dist, self.dg
-        terms = sorted({x for e in s for x in e})
-        at = {x: i for i, x in enumerate(terms)}
-        close = [[row[y] for y in terms] for row in [dist[x] for x in terms]]
+        adj, dg, limit = self.g_adj.copy(), self.dg, self.limit
         for a, b in s:
-            ia, ib, w = at[a], at[b], dg[a][b]
-            row_a, row_b = close[ia], close[ib]
-            close = [[min(cxy, row[ia] + w + cby, row[ib] + w + cay)
-                      for cxy, cay, cby in zip(row, row_a, row_b)]
-                     for row in close]
-        limit = self.limit
+            w = dg[a][b]
+            adj[a] = adj[a] + [(b, w)]
+            adj[b] = adj[b] + [(a, w)]
         for u, v in self.pairs if pairs is None else pairs:
-            du, dv = dist[u], dist[v]
-            to_v = [dv[y] for y in terms]
-            best = min((du[x] + min(map(add, row, to_v))
-                        for x, row in zip(terms, close)), default=INF)
-            if min(du[v], best) > limit[u, v]:
+            if within(adj, u, v, limit[u, v], first=True) > limit[u, v]:
                 yield u, v
 
 

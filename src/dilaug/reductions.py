@@ -140,6 +140,8 @@ def gen_diameter2_weighted(src: SourceProblem, epsilon: Fraction) -> GeneratedIn
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
+    if src.epsilon != epsilon:  # lift_witness maps into the grid only then
+        raise ValueError("epsilon must equal the source's epsilon")
     h = src.graph
     n = h.n
     w_exact = Fraction(3 * n, 1) / (2 * epsilon)

@@ -248,33 +248,40 @@ def _source_diam2_yes(h: Graph, k: int) -> bool:
 
 
 def test_criterion_7_tiny_reverse_equivalence():
+    """Each reduced instance is also solved by ``bounded-gamma``, whose
+    certificate must be brute's: on an edgeless G every path in G + S is
+    made of S's edges alone, and k = n - 1 compares sets of up to four."""
     rng = random.Random(10007)
     disagreements = 0
+    mismatches = 0
     cases = 0
+
+    def check(inst, source_yes):
+        nonlocal cases, disagreements, mismatches
+        cases += 1
+        want = solve_min(inst)
+        disagreements += source_yes != want.yes
+        mismatches += solve_bounded_gamma(inst) != want
+
     for _ in range(25):
         n = rng.randint(3, 6)
         h = _random_connected(rng, n)
-        for k in (0, 1, 2):
-            cases += 1
+        for k in sorted({0, 1, 2} | ({n - 1} if n <= 5 else set())):
             src = SourceProblem("two-spanner", h, k)
-            inst = gen_spanner_edgeless(src).instance
-            if _source_two_spanner_yes(h, k) != solve_min(inst).yes:
-                disagreements += 1
+            check(gen_spanner_edgeless(src).instance, _source_two_spanner_yes(h, k))
     for _ in range(25):
         n = rng.randint(3, 7)
         pairs = list(combinations(range(n), 2))
         h = Graph(n, [e for e in pairs if rng.random() < 0.4])
         for k in (0, 1, 2):
-            cases += 1
             src = SourceProblem("diameter2-augmentation", h, k)
-            inst = gen_diameter2_clique(src).instance
-            if _source_diam2_yes(h, k) != solve_min(inst).yes:
-                disagreements += 1
+            check(gen_diameter2_clique(src).instance, _source_diam2_yes(h, k))
     _report(7, "two-spanner and diameter-2-clique reductions preserve the "
-            "answer on exhaustively solved tiny sources",
-            disagreements == 0,
+            "answer on exhaustively solved tiny sources, and bounded-gamma "
+            "returns brute's verdict and certificate on each",
+            disagreements == 0 and mismatches == 0,
             f"{cases} (source, k) cases, {disagreements} disagreements, "
-            f"tolerance: zero")
+            f"{mismatches} bounded-gamma mismatches, tolerance: zero")
 
 
 def _random_connected(rng, n):

@@ -175,6 +175,20 @@ class TestDiameter2Weighted:
             with pytest.raises(ValueError):
                 gen_diameter2_weighted(src, bad)
 
+    def test_epsilon_must_match_source(self):
+        """lift_witness maps into the grid only if the source has the
+        instance's epsilon; else its lift overlaps G, so both are refused."""
+        h = Graph(3, [(0, 1)])
+        eps = Fraction(1, 2)
+        for other in (None, Fraction(1, 3)):
+            src = SourceProblem("diameter2-augmentation", h, 2, epsilon=other)
+            with pytest.raises(ValueError, match="source's epsilon"):
+                gen_diameter2_weighted(src, eps)
+        src = SourceProblem("diameter2-augmentation", h, 2, epsilon=eps)
+        witness = lift_witness(src, {(0, 2), (1, 2)})
+        assert witness == {(2, 6), (5, 7)}
+        assert verify_solution(gen_diameter2_weighted(src, eps).instance, witness).ok
+
     def test_lift_verifies(self):
         src, eps = self._source()
         gen = gen_diameter2_weighted(src, eps)
