@@ -62,7 +62,8 @@ def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
 
 def _parse_file(path: str, parse, *args):
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        with open(path, encoding="utf-8") as file:
+            return parse(file.read(), *args)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except ParseError as exc:
@@ -163,14 +164,18 @@ def cmd_fuzz(args, out) -> int:
             if (got.yes != expected.yes if name == "kdd" else got != expected):
                 failures += 1
                 dump = f"fuzz_fail_{args.seed}_{i}_{name}.dilaug"
-                Path(dump).write_text(serialize_instance(inst))
+                try:
+                    Path(dump).write_text(serialize_instance(inst))
+                except OSError as exc:
+                    raise CliError(f"cannot write {dump}: {exc}")
                 out.write(f"DISAGREEMENT engine={name} oracle={expected} "
                           f"got={got} dumped={dump}\n")
     out.write(f"fuzz: {args.count} instances, {failures} disagreements\n")
     return EXIT_YES if failures == 0 else EXIT_NO
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's (sub-parser, handler) by name."""
     parser = argparse.ArgumentParser(
         prog="dilaug",
         description="Exact solvers for the dilation t-augmentation problem")
@@ -197,23 +202,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="cross-check engines against the oracle")
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--count", type=int, required=True)
-    return parser
+    return parser, {"solve": (p_solve, cmd_solve), "verify": (p_verify, cmd_verify),
+                    "gen": (p_gen, cmd_gen), "fuzz": (p_fuzz, cmd_fuzz)}
 
 
-# Built once: building it costs about as much as a small solve.
-PARSER = build_parser()
+# A top-level pass takes twice as long as the command's own sub-parser, so
+# run() calls that sub-parser, and sends through PARSER only an argv that no
+# sub-parser reads in full (no or an unknown command, -h, left-over arguments).
+PARSER, COMMANDS = build_parser()
 
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
+    command = COMMANDS.get(argv[0]) if argv else None
     try:
-        args = PARSER.parse_args(argv)
+        if command is not None:
+            args, extra = command[0].parse_known_args(argv[1:])
+        if command is None or extra:
+            args = PARSER.parse_args(argv)
+            command = COMMANDS[args.command]
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    handlers = {"solve": cmd_solve, "verify": cmd_verify, "gen": cmd_gen,
-                "fuzz": cmd_fuzz}
     try:
-        return handlers[args.command](args, out)
+        return command[1](args, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

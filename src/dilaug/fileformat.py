@@ -77,10 +77,31 @@ def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
 
 def parse_instance(text: str) -> Instance:
     header = None
+    n = 0  # so that no edge line passes the range test before the header
     gamma_edges: dict[Edge, int] = {}
     g_edges: set[Edge] = set()
-    for lineno, parts in _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":  # a comment's first token starts with c
+            continue
         kind = parts[0]
+        # A well-formed edge line is taken here; any other line, and any
+        # edge line that breaks a rule, goes on to the checks below.
+        try:
+            if kind == "e" and len(parts) == 4:
+                u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
+                e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+                if 0 < u <= n and 0 < v <= n and u != v and w >= 1 and e not in gamma_edges:
+                    gamma_edges[e] = w
+                    continue
+            elif kind == "g" and len(parts) == 3:
+                u, v = int(parts[1]), int(parts[2])
+                e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+                if 0 < u <= n and 0 < v <= n and u != v and e not in g_edges:
+                    g_edges.add(e)
+                    continue
+        except ValueError:
+            pass
         if kind == "p":
             if header is not None:
                 raise ParseError("duplicate header", lineno)

@@ -116,7 +116,9 @@ class Graph:
         for (u, v), wt in weight.items():
             adj[u].append((v, wt))
             adj[v].append((u, wt))
-        self.adj = [sorted(row) for row in adj]
+        for row in adj:
+            row.sort()
+        self.adj = adj
 
     def neighbors(self, u: int) -> list[int]:
         return [v for v, _ in self.adj[u]]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dilaug
+from dilaug import cli as cli_module
 from dilaug import fileformat, model, oracle
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 from dilaug.fileformat import (ParseError, parse_rational, serialize_instance,
@@ -493,6 +494,20 @@ class TestFuzzAndBench:
         assert (code, text) == (EXIT_USAGE, "")
         assert err == "error: --count must be at least 0, got -3\n"
 
+    def test_unwritable_dump_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # Every engine disagrees with brute, and a directory stands at each
+        # dump path: the write fails, which is no finding about the engines.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("dilaug.cli.dispatch",
+                            lambda inst, name, d=None: Verdict(False, frozenset({(0, 1)})))
+        for engine in ("bounded-gamma", "kdd"):
+            (tmp_path / f"fuzz_fail_1_0_{engine}.dilaug").mkdir()
+        code, text = cli("fuzz", "--seed", "1", "--count", "1")
+        err = capsys.readouterr().err
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write fuzz_fail_1_0_bounded-gamma.dilaug: ")
+        assert err.count("\n") == 1
+
 
 class TestUsage:
     def test_no_command(self):
@@ -502,6 +517,57 @@ class TestUsage:
     def test_unknown_engine_rejected_by_argparse(self, triangle_file):
         code, _ = cli("solve", "--engine", "magic", "--input", triangle_file)
         assert code == EXIT_USAGE
+
+    # argv ("F" stands for the input file), the exit code and the program
+    # named by the usage line on stderr (None: stderr is empty).  A row with
+    # code None only has to match one top-level pass, since its outcome
+    # depends on the Python version.
+    USAGE_TABLE = [
+        ([], EXIT_USAGE, "dilaug"),
+        (["-h"], 0, None),
+        (["bogus"], EXIT_USAGE, "dilaug"),
+        (["solve"], EXIT_USAGE, "dilaug solve"),
+        (["solve", "-h"], 0, None),
+        (["solve", "--engine", "x", "--input", "F"], EXIT_USAGE, "dilaug solve"),
+        # Arguments that no parser knows are reported by the top-level one.
+        (["solve", "--input", "F", "--bogus"], EXIT_USAGE, "dilaug"),
+        (["solve", "--input", "F", "extra"], EXIT_USAGE, "dilaug"),
+        # Newer argparse releases drop the "--" and solve; older ones take
+        # "--" for the command.
+        (["--", "solve", "--input", "F"], None, None),
+        (["verify", "--input", "F"], EXIT_USAGE, "dilaug verify"),
+        (["fuzz", "--seed", "x", "--count", "1"], EXIT_USAGE, "dilaug fuzz"),
+    ]
+
+    @staticmethod
+    def one_pass(argv, out):
+        """The exit code of ``run(argv, out)`` were argv parsed by one
+        top-level argparse pass."""
+        try:
+            args = cli_module.PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
+        return getattr(cli_module, f"cmd_{args.command}")(args, out)
+
+    @pytest.mark.parametrize("argv,code,prog", USAGE_TABLE)
+    def test_usage_table(self, argv, code, prog, triangle_file, capsys):
+        argv = [triangle_file if a == "F" else a for a in argv]
+        outputs = []
+        for call in (run, self.one_pass):
+            out = io.StringIO()
+            got = call(argv, out)
+            outputs.append((got, out.getvalue(), *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        got, text, stdout, stderr = outputs[0]
+        if code is None:
+            return
+        assert (got, text) == (code, "")
+        if prog is None:  # -h prints the help on stdout
+            assert stderr == "" and stdout.startswith("usage: dilaug")
+        else:
+            assert stdout == ""
+            assert stderr.startswith(f"usage: {prog} [-h]")
+            assert stderr.splitlines()[-1].startswith(f"{prog}: error: ")
 
 
 class TestFileErrors:

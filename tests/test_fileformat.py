@@ -91,6 +91,13 @@ PARSE_ERRORS = [
     (HEAD + "e 0 x 1\n", "vertex 0 out of range [1, 3]", 2),
     (HEAD + "e 1 4 1\n", "vertex 4 out of range [1, 3]", 2),
     (HEAD + "g 4 1\n", "vertex 4 out of range [1, 3]", 2),
+    # Each bound of the range test, at each end, with the rest valid.
+    (HEAD + "e 0 1 1\n", "vertex 0 out of range [1, 3]", 2),
+    (HEAD + "e 1 0 1\n", "vertex 0 out of range [1, 3]", 2),
+    (HEAD + "e 4 1 1\n", "vertex 4 out of range [1, 3]", 2),
+    (HEAD + "g 0 2\n", "vertex 0 out of range [1, 3]", 2),
+    (HEAD + "g 1 0\n", "vertex 0 out of range [1, 3]", 2),
+    (HEAD + "g 2 4\n", "vertex 4 out of range [1, 3]", 2),
     (HEAD + "g 1 y\n", "bad vertex id 'y'", 2),
     (HEAD + "l 9 far\n", "vertex 9 out of range [1, 3]", 2),
     (HEAD + "l z far\n", "bad vertex id 'z'", 2),
