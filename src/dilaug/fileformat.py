@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .graph import Edge, Graph, GraphError
+from .graph import Edge, Graph
 from .model import Instance, MetricUndefinedError
 
 
@@ -120,24 +120,20 @@ def parse_instance(text: str) -> Instance:
             continue
         if header is None:
             raise ParseError("header must precede edge lines", lineno)
-        n = header[0]
+        # The first branch takes every well-formed edge line: these only raise.
         if kind == "e":
             if len(parts) != 4:
                 raise ParseError("gamma edge line must be 'e <u> <v> <w>'", lineno)
-            e = _edge(parts, n, lineno)
+            _edge(parts, n, lineno)
             w = _int(parts[3], "weight", lineno)
             if w < 1:
                 raise ParseError(f"weight {w} must be >= 1", lineno)
-            if e in gamma_edges:
-                raise ParseError("duplicate gamma edge", lineno)
-            gamma_edges[e] = w
+            raise ParseError("duplicate gamma edge", lineno)
         elif kind == "g":
             if len(parts) != 3:
                 raise ParseError("G edge line must be 'g <u> <v>'", lineno)
-            e = _edge(parts, n, lineno)
-            if e in g_edges:
-                raise ParseError("duplicate G edge", lineno)
-            g_edges.add(e)
+            _edge(parts, n, lineno)
+            raise ParseError("duplicate G edge", lineno)
         elif kind == "l":
             if len(parts) < 3:
                 raise ParseError("label line must be 'l <v> <label>'", lineno)
@@ -213,10 +209,8 @@ def parse_source(text: str, want_partition: bool
     if header is None:
         raise ParseError("missing 'p src' header")
     n, k = header
-    try:
-        graph = Graph(n, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+    # _edge checked every edge, and the header n >= 1: Graph() would raise nothing.
+    graph = Graph._checked(n, dict.fromkeys(edges, 1))
     partition = None
     if want_partition:
         if set(colors) != set(range(n)):

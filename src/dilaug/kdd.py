@@ -161,8 +161,6 @@ def _solve_annotated(ann: AnnotatedInstance, d: int, root: ConflictChecker,
     if ann.k == 0:
         return None if next(root.violated(ann.added, pending), None) else ann.added
     conflicts = frozenset(root.violated(ann.added, pending))
-    if not conflicts:
-        return ann.added
     in_r = set(ann.r)
     partners = Counter(x for e in conflicts for x, y in (e, e[::-1]) if y not in in_r)
     f0 = f_value(0, ann.k, d)
@@ -206,7 +204,7 @@ def solve_kdd(inst: Instance, d: int) -> Verdict:
     # from this one checker of G: a node adds at most k edges, and each
     # check is one capped query per pending pair over G plus those edges.
     root = ConflictChecker(inst)
-    conflicts = frozenset(root.pairs)
+    conflicts = root.pairs
     matching = greedy_maximal_matching(conflicts)
     if len(matching) > 2 * inst.k:
         return Verdict.no()

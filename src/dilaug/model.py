@@ -198,7 +198,7 @@ def adjacent_conflicts(inst: Instance, s: Iterable[Edge] = ()) -> frozenset[Edge
 
 
 def is_conflict_free(inst: Instance, s: Iterable[Edge] = ()) -> bool:
-    """Early-exiting emptiness check of adjacent_conflicts (hot path)."""
+    """Early-exiting emptiness check of adjacent_conflicts (brute's per-subset check)."""
     return next(_violations(inst, s), None) is None
 
 
@@ -225,15 +225,15 @@ class ConflictChecker:
     edge weighted by its d_Gamma, and keeps no distances in G; rows of
     d_Gamma (``inst.gamma_rows``) are computed on first read.
     ``limit`` holds the ``stretch_limit`` of each open pair, a Gamma edge
-    not in G (one in G is within its limit, since d_G <= d_Gamma), and
-    the base conflict pairs are the open pairs that G alone leaves above
-    it, each found by one capped ``within`` query over ``g_adj``.
+    not in G (one in G is within its limit, since d_G <= d_Gamma).
+    ``violated`` is the one query: it finds the pairs S leaves in
+    conflict, exactly, with one capped ``within`` query per pair over
+    G + S; a caller takes their ``frozenset``, or asks ``next`` for a
+    yes/no answer that stops at the first conflict.  ``pairs``, the base
+    conflict pairs, is its ``frozenset`` for S empty over every open pair.
     Adding edges only shortens distances, so no other pair can conflict
     once S is added, and a check of S + S' needs only the pairs still
-    pending for S.  ``violated`` is the one query: it finds the pairs S
-    leaves in conflict, exactly, with one such query per pair over G + S;
-    a caller takes their ``frozenset``, or asks ``next`` for a yes/no
-    answer that stops at the first conflict.
+    pending for S.
     ``ellipses[pair]`` holds the non-edges of G in the pair's metric
     ellipse, built once on first read: a set that fixes the pair meets it,
     the quick necessary condition a search tests first.  ``ellipse_union``
@@ -249,8 +249,7 @@ class ConflictChecker:
             self.g_adj[v].append((u, w))
         self.limit = {(u, v): stretch_limit(inst.d_gamma(u, v), inst.t)
                       for u, v in inst.gamma.edges - inst.g_edges}
-        self.pairs = [(u, v) for (u, v), lim in sorted(self.limit.items())
-                      if within(self.g_adj, u, v, lim, first=True) > lim]
+        self.pairs = frozenset(self.violated((), self.limit))
         self.ellipses = _Rows(partial(_ellipse, inst, self.limit))  # no cycle through self
 
     def ellipse_union(self, pairs: Iterable[Edge]) -> list[Edge]:

@@ -41,8 +41,7 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
 
     A combination is checked exactly only if it hits every ellipse mask.
     Each prefix of size - 1 intersects the masks it misses; the last index
-    ranges over that intersection alone.  The mask that emptied it moves to
-    the front, since it is likely to reject the next prefix too.
+    ranges over that intersection alone.
     """
     ordered = sorted(candidates)
     base = sorted(committed)
@@ -72,11 +71,10 @@ def first_conflict_free(checker: ConflictChecker, conflicts: frozenset[Edge],
                 covered |= 1 << i
             start = prefix[-1] + 1 if prefix else 0
             tails = (1 << m) - (1 << start)
-            for pos, mask in enumerate(masks):
+            for mask in masks:
                 if not mask & covered:
                     tails &= mask
                     if not tails:
-                        masks.insert(0, masks.pop(pos))
                         break
             while tails:
                 low = tails & -tails

@@ -38,7 +38,7 @@ def _solve_bounded(inst: Instance) -> Verdict:
     each conflict vertex is within floor(t) hops, in Gamma and in G, of one
     of S's <= 2k ends; more than fit in the smaller ball prove NO."""
     checker = ConflictChecker(inst)
-    conflicts = frozenset(checker.pairs)
+    conflicts = checker.pairs
     if inst.gamma.is_unweighted():
         vc = {x for e in conflicts for x in e}
         delta = min(max(map(len, adj), default=0) for adj in (inst.gamma.adj, checker.g_adj))

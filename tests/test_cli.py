@@ -19,6 +19,7 @@ from dilaug.graph import Graph, norm_edge
 from dilaug.model import adjacent_conflicts, build_instance
 from dilaug.oracle import Verdict
 from dilaug.randinst import random_connected_gamma, random_instance
+from dilaug.reductions import SourceProblem, gen_diameter2_clique, gen_spanner_edgeless
 
 from conftest import far_bridge_instance
 
@@ -432,6 +433,21 @@ class TestGen:
         assert code == EXIT_YES
         assert text.splitlines()[0] == "p dilaug 16 1 5/2"
 
+    @pytest.mark.parametrize("generator, make, kind", [
+        ("spanner", gen_spanner_edgeless, "two-spanner"),
+        ("diam2k", gen_diameter2_clique, "diameter2-augmentation"),
+    ])
+    def test_spanner_and_diam2k(self, tmp_path, generator, make, kind):
+        src = tmp_path / "src.txt"
+        src.write_text("p src 5 2\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 2 5\n")
+        gen = make(SourceProblem(kind, Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)]), 2))
+        labels = "".join(f"l {v + 1} {gen.labels[v]}\n" for v in sorted(gen.labels))
+        code, text = cli("gen", generator, "--source", str(src))
+        assert code == EXIT_YES
+        assert text == serialize_instance(gen.instance) + labels
+        again = fileformat.parse_instance(text)
+        assert serialize_instance(again) == serialize_instance(gen.instance)
+
     @pytest.mark.parametrize("generator, source, line", [
         ("domset", "p src 3 x\n", 1),
         ("domset", "p src 3 1\ne 1 b\n", 2),
@@ -443,6 +459,17 @@ class TestGen:
         ("spanner", "p src 0 1\n", 1),
         ("domset", "p src 3 -1\ne 1 2\n", 1),
         ("domset", "p src -2 1\n", 1),
+        # header must be 'p src <n> <k>'
+        ("domset", "p src 3\n", 1),
+        ("domset", "p dilaug 3 1 2\n", 1),
+        # bad edge line: before the header, or not 'e <u> <v>'
+        ("domset", "e 1 2\np src 3 1\n", 1),
+        ("domset", "p src 3 1\ne 1 2 1\n", 2),
+        # bad color line: before the header, or not 'v <u> <color>'
+        ("mcq", "v 1 1\np src 2 1\n", 1),
+        ("mcq", "p src 2 1\nv 1\n", 2),
+        # missing 'p src' header, which names no line
+        ("domset", "c no header\n\n", None),
     ])
     def test_malformed_source_is_usage_error(self, tmp_path, capsys, generator,
                                              source, line):
@@ -451,7 +478,7 @@ class TestGen:
         assert cli("gen", generator, "--source", str(src)) == (EXIT_USAGE, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"line {line}" in err
+        assert f"line {line}" in err if line is not None else ": line " not in err
 
     # Tokens a header and --epsilon both accept or both reject as rationals;
     # the range checks (t >= 1, 0 < epsilon < 1) differ.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilaug.fileformat import (ParseError, parse_instance, parse_solution,
+from dilaug.fileformat import (ParseError, parse_instance, parse_solution, parse_source,
                                serialize_instance, serialize_solution)
 from dilaug.graph import Graph
 from dilaug.model import build_instance
@@ -196,6 +196,20 @@ class TestRoundTrip:
     def test_label_lines_do_not_change_the_instance(self):
         labelled = parse_instance(SAMPLE + "l 1 center of it all\n")
         assert serialize_instance(labelled) == serialize_instance(parse_instance(SAMPLE))
+
+
+def test_parse_source_graph_equals_graph():
+    # Source edges may repeat, in either orientation; the graph keeps one.
+    rng = random.Random(608)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+        edges += [e[::-1] for e in rng.sample(edges, rng.randint(1, len(edges)))]
+        rng.shuffle(edges)
+        text = f"p src {n} 1\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+        got, want = parse_source(text, False)[0], Graph(n, edges)
+        assert (got.n, got.edges, got.weight, got.adj) == \
+            (want.n, want.edges, want.weight, want.adj)
 
 
 class TestSolutions:

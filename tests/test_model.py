@@ -222,6 +222,50 @@ class TestTwoPassScan:
         assert (inst.d_gamma(2, 3), inst.d_gamma(0, 3)) == (4, 4)
         assert queries == [((2, 3), 3), ((0, 3), 5)]
 
+    @staticmethod
+    def pair_caps(pair, monkeypatch):
+        """The cap of each ``within`` query the scan asks about ``pair``."""
+        caps, real = [], model.within
+
+        def counted(adj, u, v, cap, first=False):
+            if (u, v) == pair:
+                caps.append(cap)
+            return real(adj, u, v, cap, first)
+        monkeypatch.setattr(model, "within", counted)
+        return caps
+
+    # In both, Gamma's path 0-2-1 of length 4 undercuts the Gamma edge
+    # (0, 1), so at t = 2 the limit of (0, 1) is 8, while its Gamma
+    # weight w lets the first walk over G run to 2w.
+
+    def test_recheck_at_the_limit_clears_the_pair(self, monkeypatch):
+        # The first walk found, 0-3-1 of length 10, is above 8; the walk
+        # 0-4-5-1 of length 8 is within it, and the re-check finds it.
+        weights = {(0, 1): 6, (0, 2): 2, (1, 2): 2, (0, 3): 5, (1, 3): 5,
+                   (0, 4): 2, (4, 5): 3, (1, 5): 3}
+        inst = build_instance(Graph(6, weights, weights),
+                              [(0, 3), (1, 3), (0, 4), (4, 5), (1, 5)], 0, 2)
+        caps = self.pair_caps((0, 1), monkeypatch)
+        conflicts, suspects = self.expected(inst)
+        assert conflicts == {(0, 2), (1, 2)} and (0, 1) not in suspects
+        assert adjacent_conflicts(inst) == conflicts
+        # The walk within 2w = 12, the query over Gamma below its need of
+        # 5, and the re-check at 8, with no exact check after it.
+        assert caps == [12, 4, 8]
+
+    def test_walk_one_past_the_limit_is_a_conflict(self, monkeypatch):
+        # G's only walk from 0 to 1, 0-3-4-1, has length 9 = 8 + 1, at
+        # Gamma weights and at d_Gamma alike.
+        weights = {(0, 1): 5, (0, 2): 2, (1, 2): 2, (0, 3): 3, (3, 4): 3, (1, 4): 3}
+        inst = build_instance(Graph(5, weights, weights), [(0, 3), (3, 4), (1, 4)], 0, 2)
+        caps = self.pair_caps((0, 1), monkeypatch)
+        conflicts, suspects = self.expected(inst)
+        assert conflicts == {(0, 1), (0, 2), (1, 2)} and (0, 1) in suspects
+        assert adjacent_conflicts(inst) == conflicts
+        # The walk within 10, the query over Gamma, the re-check at 8 and
+        # the exact check at 8.
+        assert caps == [10, 4, 8, 8]
+
 
 class TestDilation:
     """Dilation <= t exactly when no Gamma edge is in conflict."""
