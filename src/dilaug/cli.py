@@ -28,7 +28,16 @@ from .reductions import (SourceProblem, gen_diameter2_clique,
                          gen_multicolored_clique, gen_spanner_edgeless)
 from .structured import EngineInapplicable
 
-ENGINES = ("brute", "tree", "bounded-gamma", "bounded-g", "kdd", "auto")
+ENGINES = ("brute", "bounded-gamma", "bounded-g", "kdd", "auto")
+
+# Each generator's source kind and function; diam2w alone takes --epsilon.
+GENERATORS = {
+    "mcq": ("multicolored-clique", gen_multicolored_clique),
+    "domset": ("dominating-set", gen_dominating_set_star),
+    "diam2w": ("diameter2-augmentation", gen_diameter2_weighted),
+    "spanner": ("two-spanner", gen_spanner_edgeless),
+    "diam2k": ("diameter2-augmentation", gen_diameter2_clique),
+}
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -47,8 +56,6 @@ def dispatch(inst: Instance, engine: str, d: int | None = None) -> Verdict:
         raise CliError(f"--d must be at least 1, got {d}", EXIT_ENGINE)
     if engine == "brute":
         return oracle.solve_min(inst)
-    if engine == "tree":
-        return structured.solve_tree_gamma(inst)
     if engine in ("bounded-gamma", "auto"):
         return structured.solve_bounded_gamma(inst)
     if engine == "bounded-g":
@@ -104,21 +111,12 @@ def cmd_verify(args, out) -> int:
 def cmd_gen(args, out) -> int:
     if (args.epsilon is None) == (args.generator == "diam2w"):
         raise CliError("--epsilon is required by diam2w and accepted by no other generator")
-    graph, k, partition = _parse_file(args.source, parse_source, args.generator == "mcq")
+    kind, generate = GENERATORS[args.generator]
+    graph, k, partition = _parse_file(args.source, parse_source, kind == "multicolored-clique")
     try:
-        if args.generator == "mcq":
-            src = SourceProblem("multicolored-clique", graph, k, partition=partition)
-            gen = gen_multicolored_clique(src)
-        elif args.generator == "domset":
-            gen = gen_dominating_set_star(SourceProblem("dominating-set", graph, k))
-        elif args.generator == "diam2w":
-            eps = parse_rational(args.epsilon)
-            src = SourceProblem("diameter2-augmentation", graph, k, epsilon=eps)
-            gen = gen_diameter2_weighted(src, eps)
-        elif args.generator == "spanner":
-            gen = gen_spanner_edgeless(SourceProblem("two-spanner", graph, k))
-        else:  # diam2k; argparse admits no other generator
-            gen = gen_diameter2_clique(SourceProblem("diameter2-augmentation", graph, k))
+        eps = None if args.epsilon is None else parse_rational(args.epsilon)
+        src = SourceProblem(kind, graph, k, partition=partition, epsilon=eps)
+        gen = generate(src) if eps is None else generate(src, eps)
     except ValueError as exc:  # includes InstanceError and MetricUndefinedError
         raise CliError(str(exc))
     body = serialize_instance(gen.instance)
@@ -138,7 +136,7 @@ def cmd_gen(args, out) -> int:
 
 def _applicable_engines(inst: Instance) -> list[str]:
     """Names of the engines besides brute that can decide ``inst``.
-    ``bounded-g`` and ``tree`` run ``bounded-gamma``'s body, not listed."""
+    ``bounded-g`` runs ``bounded-gamma``'s body, so it is not listed."""
     names = ["bounded-gamma"]
     # A forest is K_{2,2}-free, so d = 2 keeps the kdd contract.
     if kdd.kdd_inapplicable(inst) is None and Graph(inst.n, inst.g_edges).is_forest():
@@ -192,8 +190,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_verify.add_argument("--solution", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a hardness-construction instance")
-    p_gen.add_argument("generator",
-                       choices=("mcq", "domset", "diam2w", "spanner", "diam2k"))
+    p_gen.add_argument("generator", choices=GENERATORS)
     p_gen.add_argument("--source", required=True,
                        help="source problem file ('p src <n> <k>', 'e u v', 'v u color')")
     p_gen.add_argument("--epsilon", default=None, help="rational in (0,1), diam2w only")

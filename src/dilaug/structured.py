@@ -1,5 +1,5 @@
 """The bounded-degree engine, under the names of the paper's two
-parameterizations and of the tree engine.
+parameterizations.
 
 The engine localizes the search: a minimum solution uses only edges in the
 metric ellipse of some conflict pair, so enumeration is restricted to the
@@ -60,6 +60,6 @@ def solve_bounded_g(inst: Instance) -> Verdict:
 
 
 def solve_tree_gamma(inst: Instance) -> Verdict:
-    """Exact on every instance (see ``_solve_bounded``); on an unweighted
-    tree Gamma with t < 3 the missing tree edges are forced."""
+    """``_solve_bounded`` under a library name that tests and the
+    benchmark's tracer call; no CLI engine runs it."""
     return _solve_bounded(inst)

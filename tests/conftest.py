@@ -237,3 +237,19 @@ def kdd_branchings(monkeypatch) -> Counter:
 
     monkeypatch.setattr(kdd, "branch_blocking", branch_blocking)
     return tally
+
+
+@pytest.fixture
+def kdd_empty_blocking_sets(monkeypatch) -> Counter:
+    """Wraps ``kdd.find_blocking_set`` and counts the calls that find no
+    witness ("empty"), where a node answers None without branching."""
+    tally: Counter = Counter()
+    inner = kdd.find_blocking_set
+
+    def find_blocking_set(*args):
+        bs = inner(*args)
+        tally["empty"] += bs is None
+        return bs
+
+    monkeypatch.setattr(kdd, "find_blocking_set", find_blocking_set)
+    return tally

@@ -11,7 +11,7 @@ import pytest
 
 import dilaug
 from dilaug import cli as cli_module
-from dilaug import fileformat, model, oracle
+from dilaug import fileformat, model, oracle, structured
 from dilaug.cli import EXIT_ENGINE, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 from dilaug.fileformat import (ParseError, parse_rational, serialize_instance,
                                serialize_solution)
@@ -127,12 +127,15 @@ class TestSolve:
         code, text = cli("solve", "--input", triangle_file)
         assert code == EXIT_YES and text.startswith("YES\n")
 
-    def test_tree_engine(self, tmp_path):
+    def test_bounded_gamma_on_path_tree(self, tmp_path, capsys):
         path = tmp_path / "path.dilaug"
         path.write_text(PATH_TREE)
-        code, text = cli("solve", "--engine", "tree", "--input", str(path))
+        code, text = cli("solve", "--engine", "bounded-gamma", "--input", str(path))
         assert code == EXIT_YES
         assert text == "YES\ns 1 2\ns 2 3\n"
+        # tree is no engine name; argparse rejects it.
+        assert cli("solve", "--engine", "tree", "--input", str(path)) == (EXIT_USAGE, "")
+        assert "argument --engine: invalid choice: 'tree'" in capsys.readouterr().err
 
     def test_inapplicable_engine_is_usage_error(self, triangle_file, capsys):
         # kdd requires t = 2; the triangle has t = 3/2.
@@ -165,10 +168,10 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "metric undefined: gamma is disconnected" in capsys.readouterr().err
 
-    def test_tree_engine_prints_brute_on_weighted_tree(self, tmp_path):
+    def test_bounded_gamma_prints_brute_on_weighted_tree(self, tmp_path):
         path = tmp_path / "wtree.dilaug"
         path.write_text(WEIGHTED_TREE)
-        for engine in ("brute", "tree", "auto"):
+        for engine in ("brute", "bounded-gamma", "auto"):
             assert cli("solve", "--engine", engine, "--input", str(path)) == (EXIT_YES, "YES\n")
 
     def test_auto_never_calls_brute(self, triangle_file, monkeypatch):
@@ -501,13 +504,6 @@ class TestGen:
         assert code == (EXIT_YES if value is not None and value >= 1 else EXIT_USAGE)
         assert ("bad rational" in eps_err) == ("bad rational" in header_err) == (value is None)
 
-    def test_bad_source_line(self, tmp_path, capsys):
-        src = tmp_path / "src.txt"
-        src.write_text("p src 2 1\nq 1 2\n")
-        code, _ = cli("gen", "domset", "--source", str(src))
-        assert code == EXIT_USAGE
-        assert "line 2" in capsys.readouterr().err
-
 
 class TestFuzzAndBench:
     def test_fuzz_clean(self):
@@ -520,6 +516,23 @@ class TestFuzzAndBench:
         err = capsys.readouterr().err
         assert (code, text) == (EXIT_USAGE, "")
         assert err == "error: --count must be at least 0, got -3\n"
+
+    def test_disagreement_is_reported_and_dumped(self, tmp_path, monkeypatch):
+        # bounded-gamma answers every draw wrongly: fuzz prints the line,
+        # keeps the instance, and exits 1.
+        monkeypatch.chdir(tmp_path)
+
+        def wrong(inst):
+            return Verdict.no() if oracle.solve_min(inst).yes else Verdict.of(())
+
+        monkeypatch.setattr(structured, "solve_bounded_gamma", wrong)
+        code, text = cli("fuzz", "--seed", "1", "--count", "1")
+        dump = "fuzz_fail_1_0_bounded-gamma.dilaug"
+        inst = fileformat.parse_instance((tmp_path / dump).read_text())
+        assert code == EXIT_NO
+        assert text == (f"DISAGREEMENT engine=bounded-gamma oracle={oracle.solve_min(inst)} "
+                        f"got={wrong(inst)} dumped={dump}\n"
+                        "fuzz: 1 instances, 1 disagreements\n")
 
     def test_unwritable_dump_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         # Every engine disagrees with brute, and a directory stands at each

@@ -154,6 +154,57 @@ def test_parse_error_table(text, message, line):
     assert str(info.value) == where + message
 
 
+SRC = "p src 2 2\n"
+
+# Every error parse_source raises, with the color classes asked for: (text,
+# message, line number or None).
+SOURCE_ERRORS = [
+    ("p src 3 1\np src 3 1\n", "duplicate header", 2),
+    ("p src 3\n", "header must be 'p src <n> <k>'", 1),
+    ("p src 3 1 2\n", "header must be 'p src <n> <k>'", 1),
+    ("p dilaug 3 1\n", "header must be 'p src <n> <k>'", 1),
+    ("p src x 1\n", "bad n 'x'", 1),
+    ("p src 3 y\n", "bad k 'y'", 1),
+    ("p src 0 1\n", "need n >= 1 and k >= 0", 1),
+    ("p src -2 1\n", "need n >= 1 and k >= 0", 1),
+    ("p src 3 -1\n", "need n >= 1 and k >= 0", 1),
+    ("e 1 2\n" + SRC, "bad edge line", 1),
+    (SRC + "e 1\n", "bad edge line", 2),
+    (SRC + "e 1 2 1\n", "bad edge line", 2),
+    (SRC + "e 1 b\n", "bad vertex id 'b'", 2),
+    (SRC + "e 3 1\n", "vertex 3 out of range [1, 2]", 2),
+    (SRC + "e 2 2\n", "self-loop", 2),
+    ("v 1 1\n" + SRC, "bad color line", 1),
+    (SRC + "v 1\n", "bad color line", 2),
+    (SRC + "v 1 1 1\n", "bad color line", 2),
+    (SRC + "v x 1\n", "bad vertex id 'x'", 2),
+    (SRC + "v 3 1\n", "vertex 3 out of range [1, 2]", 2),
+    (SRC + "v 1 q\n", "bad color 'q'", 2),
+    (SRC + "v 1 0\n", "color 0 out of range [1, 2]", 2),
+    (SRC + "v 1 3\n", "color 3 out of range [1, 2]", 2),
+    (SRC + "v 1 1\nv 2 2\nv 1 2\n", "vertex 1 has a second color", 4),
+    ("p src 2 1\nq 1 2\n", "unknown line type 'q'", 2),
+    ("  c note\n\n" + SRC + "q\n", "unknown line type 'q'", 4),
+    ("c no header\n\n", "missing 'p src' header", None),
+    (SRC + "e 1 2\nv 1 1\n", "multicolored clique source needs a color for every vertex", None),
+]
+
+
+@pytest.mark.parametrize("text,message,line", SOURCE_ERRORS)
+def test_parse_source_error_table(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_source(text, True)
+    assert info.value.line == line
+    where = f"line {line}: " if line is not None else ""
+    assert str(info.value) == where + message
+
+
+def test_parse_source_without_colors_ignores_their_range():
+    # Only a multicolored clique source needs its color classes checked.
+    graph, k, partition = parse_source(SRC + "v 1 3\nv 1 0\n", False)
+    assert (graph.n, k, partition) == (2, 2, None)
+
+
 class TestRoundTrip:
     def test_serialize_then_parse(self):
         rng = random.Random(606)

@@ -61,6 +61,10 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="^vertex count must be nonnegative$"):
+            Graph(-1)
+
     def test_rejects_weight_on_non_edge(self):
         with pytest.raises(GraphError):
             Graph(3, [(0, 1)], {(1, 2): 4})
@@ -97,6 +101,13 @@ class TestDistances:
     def test_hop_disconnected_is_inf(self):
         g = Graph(3, [(0, 1)])
         assert g.hop_distances(0)[2] == math.inf
+
+    @pytest.mark.parametrize("source", [-1, 3])
+    @pytest.mark.parametrize("method", ["hop_distances", "weighted_distances"])
+    def test_source_out_of_range(self, method, source):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match=rf"^source {source} out of range \[0, 3\)$"):
+            getattr(g, method)(source)
 
     def test_weighted_prefers_light_detour(self):
         # Direct edge weight 5, two-hop detour weight 2+2.

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from dilaug.kdd import (AnnotatedInstance, BlockingSet, NotKddFree,
                         solve_kdd, twin_reduce)
 from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
                           verify_solution)
-from dilaug.oracle import solve_min
+from dilaug.oracle import Verdict, solve_min
 from dilaug.randinst import random_instance
-from dilaug.structured import EngineInapplicable
+from dilaug.structured import EngineInapplicable, solve_bounded_gamma
 
 from conftest import blocking_instance
 
@@ -244,3 +245,68 @@ class TestSolveKdd:
         assert yes > 100
         assert kdd_branchings["branchings"] >= 50
         assert kdd_branchings["violations"] == 0
+
+
+def hub_instance(rng: random.Random, book: bool):
+    """A t = 2 instance whose cover can hold a vertex with more than
+    f(0, 1, 2) = 6 conflict partners outside it.  Gamma has 1-2 hubs and
+    8-13 leaves, each joined to one hub, plus up to 6 chords; G is a
+    random forest and k is 1 to 3.  A ``book`` has two joined hubs, each
+    leaf (a page) joined to both, and G a star from hub 1 to most pages:
+    with the hubs as the cover, hub 0's partners have no G-neighbour
+    outside it.  Vertex ids are shuffled."""
+    hubs = 2 if book else rng.randint(1, 2)
+    n = hubs + rng.randint(8, 13)
+    leaves = range(hubs, n)
+    gamma = {(0, 1)} if hubs == 2 else set()
+    for x in leaves:
+        gamma.update((h, x) for h in (range(hubs) if book else [rng.randrange(hubs)]))
+    chords = [e for e in combinations(range(n), 2) if e not in gamma]
+    gamma.update(rng.sample(chords, rng.randint(0, 6)))
+    if book:
+        g_edges = [(1, x) for x in leaves if rng.random() < 0.9]
+    else:
+        order = rng.sample(range(n), n)
+        g_edges = [(order[rng.randrange(i)], order[i]) for i in range(1, n)
+                   if rng.random() < 0.5]
+    ids = rng.sample(range(n), n)
+    return build_instance(Graph(n, [(ids[a], ids[b]) for a, b in gamma]),
+                          [(ids[a], ids[b]) for a, b in g_edges],
+                          rng.randint(1, 3), Fraction(2))
+
+
+class TestEmptyBlockingSet:
+    """A node whose high-conflict cover vertex has no blocking set answers
+    None: a solution within budget would need a witness."""
+
+    def test_book_is_yes_after_the_prune(self, kdd_empty_blocking_sets):
+        # Gamma joins 0-1 and both to every page 2..8; G is the star from
+        # 1.  The cover is {0, 1}; under the empty guess 0 has 7 partners
+        # outside it, whose one G-neighbour 1 lies inside, so the node is
+        # pruned.  The guess {(0, 1)} then fixes every pair.
+        pages = range(2, 9)
+        gamma = Graph(9, [(0, 1)] + [(h, x) for x in pages for h in (0, 1)])
+        inst = build_instance(gamma, [(1, x) for x in pages], 1, Fraction(2))
+        assert solve_kdd(inst, 2) == solve_min(inst) == Verdict.of({(0, 1)})
+        assert kdd_empty_blocking_sets["empty"] == 1
+
+    def test_star_is_no(self, kdd_empty_blocking_sets):
+        # Gamma is a star with 8 leaves and G is edgeless: the empty guess
+        # is pruned, and the guess {(0, 1)} leaves (0, 2) in conflict.
+        inst = build_instance(Graph(9, [(0, x) for x in range(1, 9)]), [], 1, Fraction(2))
+        assert solve_kdd(inst, 2) == Verdict.no()
+        assert kdd_empty_blocking_sets["empty"] == 1
+
+    def test_seeded_family_agrees_with_bounded_gamma(self, kdd_empty_blocking_sets):
+        rng = random.Random(7)
+        pruned = {True: 0, False: 0}
+        for i in range(400):
+            inst = hub_instance(rng, book=i % 4 == 3)
+            before = kdd_empty_blocking_sets["empty"]
+            got = solve_kdd(inst, 2)
+            assert got.yes == solve_bounded_gamma(inst).yes
+            if got.yes:
+                assert verify_solution(inst, got.solution).ok
+            pruned[got.yes] += kdd_empty_blocking_sets["empty"] > before
+        # Both answers are reached below a pruned node.
+        assert pruned[True] >= 10 and pruned[False] >= 30

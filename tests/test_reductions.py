@@ -43,6 +43,20 @@ class TestSourceProblem:
                           partition=((0,), (1,)))
 
 
+# Each generator refuses a source of another kind; diam2k's row is
+# TestDiameter2Clique::test_wrong_kind_rejected.
+@pytest.mark.parametrize("generate, kind", [
+    (gen_multicolored_clique, "multicolored-clique"),
+    (gen_dominating_set_star, "dominating-set"),
+    (lambda src: gen_diameter2_weighted(src, Fraction(1, 2)), "diameter2-augmentation"),
+    (gen_spanner_edgeless, "two-spanner"),
+], ids=["mcq", "domset", "diam2w", "spanner"])
+def test_generator_rejects_another_kind(generate, kind):
+    other = "two-spanner" if kind == "dominating-set" else "dominating-set"
+    with pytest.raises(ValueError, match=f"^source kind must be {kind}$"):
+        generate(SourceProblem(other, Graph(2, [(0, 1)]), 1))
+
+
 class TestMulticoloredClique:
     def test_layout_counts_k2(self):
         src, _ = mcq_source(2)
@@ -79,6 +93,11 @@ class TestMulticoloredClique:
         src, _ = mcq_source(2)
         with pytest.raises(ValueError):
             lift_witness(src, [1, 2])
+
+    def test_lift_rejects_wrong_size(self):
+        src, clique = mcq_source(2)
+        with pytest.raises(ValueError, match="exactly k vertices"):
+            lift_witness(src, clique[:1])
 
     def test_lift_rejects_wrong_class(self):
         src, _ = mcq_source(2)
