@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import warnings
 from pathlib import Path
 
 from . import kdd, oracle, structured
@@ -113,12 +114,18 @@ def cmd_gen(args, out) -> int:
         raise CliError("--epsilon is required by diam2w and accepted by no other generator")
     kind, generate = GENERATORS[args.generator]
     graph, k, partition = _parse_file(args.source, parse_source, kind == "multicolored-clique")
-    try:
-        eps = None if args.epsilon is None else parse_rational(args.epsilon)
-        src = SourceProblem(kind, graph, k, partition=partition, epsilon=eps)
-        gen = generate(src) if eps is None else generate(src, eps)
-    except ValueError as exc:  # includes InstanceError and MetricUndefinedError
-        raise CliError(str(exc))
+    # Each library warning is one "warning: " line, like the error lines.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            eps = None if args.epsilon is None else parse_rational(args.epsilon)
+            src = SourceProblem(kind, graph, k, partition=partition, epsilon=eps)
+            gen = generate(src) if eps is None else generate(src, eps)
+        except ValueError as exc:  # includes InstanceError and MetricUndefinedError
+            raise CliError(str(exc))
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     body = serialize_instance(gen.instance)
     labels = "".join(f"l {v + 1} {gen.labels[v]}\n" for v in sorted(gen.labels))
     if args.output:

